@@ -32,8 +32,6 @@ from .grids import (
     fourier_transform_2d,
     inverse_fourier_transform_2d,
     pad_samples,
-    padded_spectrum,
-    polar_resample,
     polar_sample,
 )
 from .inversion import (
@@ -112,9 +110,7 @@ __all__ = [
     "invert_coefficient_route",
     "measure_slice_constant",
     "pad_samples",
-    "padded_spectrum",
     "parity_residual",
-    "polar_resample",
     "polar_sample",
     "random_solenoidal_field",
     "read_field",

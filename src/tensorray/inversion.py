@@ -328,7 +328,6 @@ def roundtrip_report(
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
-    oversample: int = 12,
     rmax: int = 4,
     moment_tol: float = 1e-5,
 ) -> dict:
@@ -347,8 +346,7 @@ def roundtrip_report(
         return {**base, "degenerate": True}
     psi = forward(f, num_p=f.grid.n + 1 if num_p is None else num_p, ntheta=ntheta)
     ratio = reshetnyak_check(
-        f, params, convention, ntheta=ntheta, nq=nq, qmax=qmax,
-        oversample=oversample, sinogram=psi,
+        f, params, convention, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=psi
     )
     reconstructed = invert(psi, f.grid, convention, check_range=False)
     reference = solenoidal_project(f)

@@ -97,7 +97,6 @@ def field_harmonics(
     nq: int = 512,
     qmax: float | None = None,
     ntheta: int = 128,
-    oversample: int = 12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Radial nodes and coefficients ``(fhat_m)_l(q_k)`` of the last component.
 
@@ -107,7 +106,7 @@ def field_harmonics(
     if qmax is None:
         qmax = f.grid.radius
     pgrid = PolarFrequencyGrid(nq=nq, qmax=qmax, ntheta=ntheta)
-    values = component_spectrum_polar(f, f.m, pgrid, oversample=oversample)
+    values = component_spectrum_polar(f, f.m, pgrid)
     coeffs = angular_coefficient_matrix(values, ntheta // 2 - 1).T
     return pgrid.radial_nodes(), coeffs
 
@@ -204,7 +203,6 @@ def field_norm(
     nq: int = 512,
     qmax: float | None = None,
     ntheta: int = 128,
-    oversample: int = 12,
 ) -> float:
     """Weighted Sobolev norm of a solenoidal field (see the module docstring).
 
@@ -220,7 +218,7 @@ def field_norm(
                 f"the field norm is defined on solenoidal fields only; relative "
                 f"divergence residual {residual:.3e} > 1e-06"
             )
-    qs, coeffs = field_harmonics(f, nq=nq, qmax=qmax, ntheta=ntheta, oversample=oversample)
+    qs, coeffs = field_harmonics(f, nq=nq, qmax=qmax, ntheta=ntheta)
     norm_sq = weighted_norm_sq(
         qs, coeffs, params, radial_exponent_offset=1.0,
         prefactor=1.0 / (2.0 * np.pi), warn_context="field norm",
@@ -236,7 +234,6 @@ def reshetnyak_check(
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
-    oversample: int = 12,
     sinogram: Sinogram | None = None,
 ) -> float:
     """Ratio of the sinogram norm at shifted indices to the field norm.
@@ -247,8 +244,7 @@ def reshetnyak_check(
     """
     return reshetnyak_ratios(
         f, [params], convention,
-        num_p=num_p, ntheta=ntheta, nq=nq, qmax=qmax,
-        oversample=oversample, sinogram=sinogram,
+        num_p=num_p, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram,
     )[0]
 
 
@@ -260,7 +256,6 @@ def reshetnyak_ratios(
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
-    oversample: int = 12,
     sinogram: Sinogram | None = None,
 ) -> list[float]:
     """Isometry ratios for several parameter triples on one field.
@@ -277,7 +272,7 @@ def reshetnyak_ratios(
     if qmax is None:
         qmax = f.grid.radius
 
-    f_qs, f_coeffs = field_harmonics(f, nq=nq, qmax=qmax, ntheta=ntheta, oversample=oversample)
+    f_qs, f_coeffs = field_harmonics(f, nq=nq, qmax=qmax, ntheta=ntheta)
     if sinogram is None:
         sinogram = forward(f, num_p=num_p, ntheta=ntheta)
     s_qs, s_coeffs = sinogram_tilde_harmonics(sinogram, f.m, convention, nq=nq, qmax=qmax)

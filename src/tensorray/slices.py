@@ -244,7 +244,6 @@ def fst_scalar_residual(
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
-    oversample: int = 12,
     sinogram: Sinogram | None = None,
 ) -> float:
     """Mismatch of the scalar slice identity under the ``fst`` convention.
@@ -257,9 +256,7 @@ def fst_scalar_residual(
         raise ValueError(f"the scalar slice identity needs m = 0, got m = {f.m}")
     pgrid, sino = _slice_setup(f, num_p, ntheta, nq, qmax, sinogram)
     lhs = sinogram_transform_values(sino, "fst", pgrid.radial_nodes())
-    rhs = np.sqrt(2.0 * np.pi) * component_spectrum_polar(
-        f, 0, pgrid, oversample=oversample, angle_offset=np.pi / 2.0
-    )
+    rhs = np.sqrt(2.0 * np.pi) * component_spectrum_polar(f, 0, pgrid, angle_offset=np.pi / 2.0)
     return sup_relative_residual(lhs, rhs)
 
 
@@ -270,7 +267,6 @@ def _solenoidal_slice_sides(
     ntheta: int,
     nq: int,
     qmax: float | None,
-    oversample: int,
     sinogram: Sinogram | None,
 ) -> tuple[np.ndarray, np.ndarray, PolarFrequencyGrid, Sinogram]:
     _check_convention(convention)
@@ -284,9 +280,7 @@ def _solenoidal_slice_sides(
     pgrid, sino = _slice_setup(f, num_p, ntheta, nq, qmax, sinogram)
     values = sinogram_transform_values(sino, convention, pgrid.radial_nodes())
     lhs = np.sin(pgrid.angular_nodes())[None, :] ** f.m * values
-    rhs_base = component_spectrum_polar(
-        f, f.m, pgrid, oversample=oversample, angle_offset=np.pi / 2.0
-    )
+    rhs_base = component_spectrum_polar(f, f.m, pgrid, angle_offset=np.pi / 2.0)
     return lhs, rhs_base, pgrid, sino
 
 
@@ -297,7 +291,6 @@ def fst_solenoidal_residual(
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
-    oversample: int = 12,
     sinogram: Sinogram | None = None,
 ) -> float:
     """Mismatch of the solenoidal slice identity for ``q > 0``.
@@ -307,7 +300,7 @@ def fst_solenoidal_residual(
     divergence residual above ``1e-6``).
     """
     lhs, rhs_base, _, _ = _solenoidal_slice_sides(
-        f, convention, num_p, ntheta, nq, qmax, oversample, sinogram
+        f, convention, num_p, ntheta, nq, qmax, sinogram
     )
     return sup_relative_residual(lhs, _FIELD_SIDE_CONSTANT[convention] * rhs_base)
 
@@ -319,7 +312,6 @@ def measure_slice_constant(
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
-    oversample: int = 12,
     sinogram: Sinogram | None = None,
 ) -> float:
     """Least-squares constant ``c`` with ``sin^m(theta) psihat ~ c * fhat_m``.
@@ -329,7 +321,7 @@ def measure_slice_constant(
     the two calculi on actual data.
     """
     lhs, rhs_base, _, _ = _solenoidal_slice_sides(
-        f, convention, num_p, ntheta, nq, qmax, oversample, sinogram
+        f, convention, num_p, ntheta, nq, qmax, sinogram
     )
     denom = np.vdot(rhs_base, rhs_base).real
     if denom == 0.0:
@@ -344,7 +336,6 @@ def fst_coefficient_residual(
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
-    oversample: int = 12,
     sinogram: Sinogram | None = None,
 ) -> float:
     """Mismatch of the slice identity written on angular coefficients.
@@ -367,7 +358,7 @@ def fst_coefficient_residual(
     lhs = tilde_coefficients(spectral.coefficients, f.m)
 
     lmax_out = lmax - f.m
-    field_values = component_spectrum_polar(f, f.m, pgrid, oversample=oversample)
+    field_values = component_spectrum_polar(f, f.m, pgrid)
     field_coeffs = angular_coefficient_matrix(field_values, lmax_out).T
     ls = np.arange(-lmax_out, lmax_out + 1)
     rhs = (1j) ** ls[:, None] * field_coeffs * _FIELD_SIDE_CONSTANT[convention]

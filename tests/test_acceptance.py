@@ -132,7 +132,7 @@ class TestCriterion4ReshetnyakIsometry:
         ]
         ratios = []
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
+            warnings.simplefilter("error", TruncationWarning)
             for m, key in ((0, "m0"), (1, "m1_sol"), (2, "m2_sol")):
                 ratios.extend(
                     reshetnyak_ratios(

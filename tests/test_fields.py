@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from tensorray import (
+    PolarFrequencyGrid,
     TensorField2D,
+    component_spectrum_polar,
     divergence_residual,
     field_l2_norm,
     fourier_transform_2d,
@@ -256,6 +258,24 @@ class TestSolenoidalSpectrum:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             SolenoidalSpectrum(m=1, pgrid=pgrid, amplitude=bad)
+
+
+class TestComponentSpectrumPolar:
+    @pytest.mark.parametrize("angle_offset", [0.0, np.pi / 2.0])
+    def test_off_centre_gaussian_matches_analytic(self, angle_offset, grid256):
+        # exp(-|x - c|^2 / (2 w^2)) has spectrum w^2 exp(-q^2 w^2 / 2) exp(-i q.c)
+        w, cx, cy = 0.9, 0.5, -0.25
+        x, y = grid256.mesh()
+        g = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * w**2))
+        f = TensorField2D(m=0, grid=grid256, components=g[None])
+        pgrid = PolarFrequencyGrid(nq=512, qmax=8.0, ntheta=128)
+        polar = component_spectrum_polar(f, 0, pgrid, angle_offset=angle_offset)
+        q = pgrid.radial_nodes()[:, None]
+        phi = pgrid.angular_nodes()[None, :] + angle_offset
+        exact = w**2 * np.exp(-(q**2) * w**2 / 2.0) * np.exp(
+            -1j * q * (cx * np.cos(phi) + cy * np.sin(phi))
+        )
+        assert np.abs(polar - exact).max() < 1e-6
 
 
 class TestProjectionDCHandling:

@@ -181,6 +181,20 @@ class TestTruncationWarnings:
             _warnings.simplefilter("error", TruncationWarning)
             field_norm(f, SobolevParams(0, 0, 0), nq=512, qmax=8.0)
 
+    @pytest.mark.parametrize("width", [0.8, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_smooth_solenoidal_fields_do_not_warn(self, m, width, grid256):
+        import warnings as _warnings
+
+        from tensorray import TruncationWarning
+
+        # smooth fields resolved at desk scale carry no top-quarter harmonic
+        # energy, so a warning here would be spectrum-sampler noise
+        f = gaussian_test_field(m, "solenoidal", grid256, width=width)
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error", TruncationWarning)
+            field_norm(f, SobolevParams(1.0, 0.5, -0.25))
+
 
 class TestFactorOfTwoBookkeeping:
     def test_full_line_integral_is_twice_positive_half(self, grid128):
