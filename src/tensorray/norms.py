@@ -143,6 +143,14 @@ def weighted_norm_sq(
     ``1e-6`` of the total weighted energy.
     """
     qs = np.asarray(qs, dtype=float)
+    coeffs = np.asarray(coeffs)
+    if qs.ndim != 1 or qs.size < 2:
+        raise ValueError(f"need a 1D array of at least 2 radial nodes, got shape {qs.shape}")
+    if coeffs.ndim != 2 or coeffs.shape[1] != qs.size:
+        raise ValueError(
+            f"coeffs must have shape (harmonics, {qs.size}) to match the radial "
+            f"nodes, got {coeffs.shape}"
+        )
     dq = np.abs(qs[1] - qs[0])
     lmax = (coeffs.shape[0] - 1) // 2
     ls = np.arange(-lmax, lmax + 1)

@@ -89,6 +89,13 @@ class TestForward:
                            "--pmax", "2", "-o", str(tmp_path / "x.sino2d"))
         assert code == 2
 
+    def test_invalid_thread_count_exit_code(self, capsys, scalar_field_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("TENSORRAY_THREADS", "abc")
+        code, _, err = run(capsys, "forward", str(scalar_field_file),
+                           "-o", str(tmp_path / "x.sino2d"))
+        assert code == 2
+        assert "TENSORRAY_THREADS" in err
+
     def test_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "forward", str(tmp_path / "nope.tf2d"),
                            "-o", str(tmp_path / "x.sino2d"))

@@ -207,3 +207,16 @@ class TestFactorOfTwoBookkeeping:
         pos = qs > 0
         half = weighted_norm_sq(qs[pos], coeffs[:, pos], params, 0.0, 1.0)
         assert full == pytest.approx(2.0 * half, rel=1e-10)
+
+
+class TestWeightedNormValidation:
+    def test_single_radial_node_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 radial nodes"):
+            weighted_norm_sq(
+                np.array([0.5]), np.ones((3, 1)), SobolevParams(0.0, 0.5, 0.5), 0.0, 1.0
+            )
+
+    def test_coefficient_count_must_match_nodes(self):
+        qs = np.linspace(0.1, 4.0, 8)
+        with pytest.raises(ValueError, match="match the radial nodes"):
+            weighted_norm_sq(qs, np.ones((3, 7)), SobolevParams(0.0, 0.5, 0.5), 0.0, 1.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tensorray import (
     Sinogram,
@@ -9,8 +10,15 @@ from tensorray import (
     forward,
     gaussian_test_field,
     parity_residual,
+    random_solenoidal_field,
     solenoidal_project,
 )
+
+
+def off_centre_gaussian(grid, width, centre):
+    X, Y = grid.mesh()
+    r2 = (X - centre[0]) ** 2 + (Y - centre[1]) ** 2
+    return TensorField2D(m=0, grid=grid, components=np.exp(-r2 / (2.0 * width**2))[None])
 
 
 class TestForward:
@@ -22,6 +30,54 @@ class TestForward:
         exact = np.sqrt(2.0 * np.pi) * np.exp(-(ps**2) / 2.0)
         err = np.abs(psi.samples - exact[:, None]).max() / exact.max()
         assert err < 1e-6
+
+    @pytest.mark.parametrize("centre", [(0.3, -0.4), (-0.5, -0.5)])
+    def test_off_centre_gaussian_anchor_desk_scale(self, centre, grid256):
+        # lines meet the centre c at offset p_c = -c_x sin(theta) + c_y cos(theta)
+        w = 0.8
+        psi = forward(off_centre_gaussian(grid256, w, centre), num_p=257, ntheta=128)
+        thetas = psi.theta_axis()
+        p_c = -centre[0] * np.sin(thetas) + centre[1] * np.cos(thetas)
+        exact = np.sqrt(2.0 * np.pi) * w * np.exp(
+            -((psi.p_axis()[:, None] - p_c[None, :]) ** 2) / (2.0 * w * w)
+        )
+        err = np.abs(psi.samples - exact).max() / exact.max()
+        assert err < 5e-7
+
+    def test_quadrature_converged_at_default_step(self, grid256):
+        # halving the step along the line changes nothing the checks resolve
+        f = random_solenoidal_field(3, grid256, seed=4)
+        coarse = forward(f).samples
+        fine = forward(f, t_step=grid256.spacing / 4.0).samples
+        assert np.abs(fine - coarse).max() / np.abs(fine).max() < 2e-8
+
+    @pytest.mark.parametrize("t_step_in_h", [0.5, 0.3])
+    def test_same_spline_as_2d_sampling_at_the_same_nodes(self, t_step_in_h, grid64):
+        # oracle: the 2D interpolating cubic spline of the contracted field,
+        # sampled where each line crosses the columns of the axis closer to xi
+        f = gaussian_test_field(2, "generic", grid64)
+        dt = t_step_in_h * grid64.spacing
+        psi = forward(f, num_p=21, ntheta=12, t_step=dt)
+        h, radius, n = grid64.spacing, grid64.radius, grid64.n
+        for j, theta in enumerate(psi.theta_axis()):
+            c, s = np.cos(theta), np.sin(theta)
+            trig = [c * c, 2.0 * c * s, s * s]
+            spline = ndimage.spline_filter(
+                np.tensordot(trig, f.components, axes=(0, 0)), order=3, mode="constant"
+            )
+            step = dt * max(abs(c), abs(s))
+            cols = step * np.arange(np.ceil(-radius / step), np.floor((radius - h) / step) + 1)
+            p = psi.p_axis()[:, None]
+            if abs(c) >= abs(s):
+                xs, ys = np.broadcast_to(cols, (p.size, cols.size)), p / c + cols * s / c
+            else:
+                xs, ys = -p / s + cols * c / s, np.broadcast_to(cols, (p.size, cols.size))
+            vals = ndimage.map_coordinates(
+                spline, [(xs.ravel() + radius) / h, (ys.ravel() + radius) / h],
+                order=3, mode="constant", cval=0.0, prefilter=False,
+            ).reshape(xs.shape)
+            expected = dt * vals.sum(axis=1)
+            assert np.abs(psi.samples[:, j] - expected).max() < 1e-12 * np.abs(expected).max()
 
     def test_zero_field(self, grid64):
         f = TensorField2D(m=1, grid=grid64, components=np.zeros((2, 64, 64)))
@@ -62,6 +118,12 @@ class TestForward:
         b = forward(solenoidal_project(f), num_p=129, ntheta=64).samples
         assert np.abs(a - b).max() / np.abs(a).max() < 1e-3
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_invalid_thread_count_rejected(self, value, grid64, monkeypatch):
+        monkeypatch.setenv("TENSORRAY_THREADS", value)
+        with pytest.raises(ValueError, match="TENSORRAY_THREADS"):
+            forward(gaussian_test_field(0, "generic", grid64), num_p=17, ntheta=8)
+
     def test_threads_do_not_change_results(self, grid64, monkeypatch):
         f = gaussian_test_field(1, "generic", grid64)
         serial = forward(f, num_p=33, ntheta=16).samples
@@ -76,6 +138,14 @@ class TestParityResidual:
             f = gaussian_test_field(m, "generic", grid128)
             psi = forward(f, num_p=65, ntheta=32)
             assert parity_residual(psi) < 1e-12
+
+    @pytest.mark.parametrize("num_p, ntheta", [(257, 128), (256, 90)])
+    def test_desk_scale_parity_rank3(self, num_p, ntheta, grid256):
+        # ntheta = 128 has angles exactly at 45 and 135 degrees, where the
+        # walking axis changes; ntheta = 90 pairs an even num_p with it
+        f = random_solenoidal_field(3, grid256, seed=2)
+        psi = forward(f, num_p=num_p, ntheta=ntheta)
+        assert parity_residual(psi) < 1e-12
 
     def test_even_num_p_grid_is_still_symmetric(self, grid64):
         f = gaussian_test_field(1, "solenoidal", grid64)
