@@ -8,7 +8,6 @@ grids with pinned tolerances.
 """
 
 from .fields import (
-    SolenoidalSpectrum,
     TensorField2D,
     component_spectrum_polar,
     divergence_residual,
@@ -23,12 +22,8 @@ from .fields import (
     tensor_weights,
 )
 from .grids import (
-    AliasingWarning,
-    AngularSeries,
     CartesianGrid,
     PolarFrequencyGrid,
-    angular_coefficients,
-    evaluate_angular_series,
     fourier_transform_2d,
     inverse_fourier_transform_2d,
     pad_samples,
@@ -76,8 +71,6 @@ from .slices import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingWarning",
-    "AngularSeries",
     "CONVENTIONS",
     "CartesianGrid",
     "FileFormatError",
@@ -87,15 +80,12 @@ __all__ = [
     "RangeDataWarning",
     "Sinogram",
     "SobolevParams",
-    "SolenoidalSpectrum",
     "SpectralSinogram",
     "TensorField2D",
     "TruncationWarning",
-    "angular_coefficients",
     "check_moment_conditions",
     "component_spectrum_polar",
     "divergence_residual",
-    "evaluate_angular_series",
     "export_csv",
     "field_l2_norm",
     "field_norm",

@@ -35,12 +35,12 @@ from .grids import (
 
 __all__ = [
     "TensorField2D",
-    "SolenoidalSpectrum",
     "tensor_weights",
     "field_l2_norm",
     "relative_l2_error",
     "divergence_residual",
     "relative_divergence_residual",
+    "require_solenoidal",
     "solenoidal_project",
     "synthesize_solenoidal",
     "gaussian_test_field",
@@ -52,6 +52,9 @@ __all__ = [
 # Realness tolerance when collapsing inverse transforms of nominally
 # Hermitian spectra to float components.
 _IMAG_TOL = 1e-6
+
+# Relative divergence residual above which a field counts as not solenoidal.
+_SOLENOIDAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,40 +86,6 @@ class TensorField2D:
         if not 0 <= j <= self.m:
             raise IndexError(f"component index {j} outside 0..{self.m}")
         return self.components[j]
-
-
-@dataclass(frozen=True)
-class SolenoidalSpectrum:
-    """Scalar amplitude ``a(q_k, phi_j)`` on a polar frequency grid.
-
-    Encodes the solenoidal spectrum ``fhat = a * eta^(tensor m)``: component
-    ``j`` is ``a * (-sin phi)^(m-j) * (cos phi)^j``.
-    """
-
-    m: int
-    pgrid: PolarFrequencyGrid
-    amplitude: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"tensor rank must be >= 0, got {self.m}")
-        amp = np.asarray(self.amplitude, dtype=complex)
-        expected = (self.pgrid.nq, self.pgrid.ntheta)
-        if amp.shape != expected:
-            raise ValueError(f"expected amplitude of shape {expected}, got {amp.shape}")
-        if not np.isfinite(amp).all():
-            raise ValueError("amplitude contains non-finite samples")
-        amp = amp.copy()
-        amp.flags.writeable = False
-        object.__setattr__(self, "amplitude", amp)
-
-    def component_values(self, j: int) -> np.ndarray:
-        """Component ``j`` of the encoded spectrum on the polar grid."""
-        if not 0 <= j <= self.m:
-            raise IndexError(f"component index {j} outside 0..{self.m}")
-        phis = self.pgrid.angular_nodes()
-        mono = (-np.sin(phis)) ** (self.m - j) * np.cos(phis) ** j
-        return self.amplitude * mono[None, :]
 
 
 def tensor_weights(m: int) -> np.ndarray:
@@ -176,6 +145,22 @@ def relative_divergence_residual(f: TensorField2D) -> float:
     if scale == 0.0:
         return 0.0
     return float(norms.max() / scale)
+
+
+def require_solenoidal(f: TensorField2D) -> None:
+    """Reject fields whose relative divergence residual exceeds ``1e-6``.
+
+    The slice identities, the field norm and the Reshetnyak isometry hold
+    only on solenoidal fields.  Scalar fields are vacuously solenoidal.
+    """
+    if f.m == 0:
+        return
+    residual = relative_divergence_residual(f)
+    if residual > _SOLENOIDAL_TOL:
+        raise ValueError(
+            f"field is not solenoidal (relative divergence residual "
+            f"{residual:.3e} > {_SOLENOIDAL_TOL:g}); apply solenoidal_project first"
+        )
 
 
 def _eta_monomials(grid: CartesianGrid, m: int) -> np.ndarray:

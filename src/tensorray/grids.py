@@ -10,8 +10,9 @@ This module is the numerical substrate for everything else in the package:
   analytic identities used by the higher-level modules are stated for the
   continuous transform, so the discrete operators match that normalization
   rather than raw DFT conventions.
-* :func:`angular_coefficients` / :class:`AngularSeries` — Fourier series on
-  the circle, ``c_l = (1/2pi) * integral(g(phi) exp(-i l phi) dphi)``.
+* :func:`angular_coefficient_matrix` — Fourier series on the circle,
+  ``c_l = (1/2pi) * integral(g(phi) exp(-i l phi) dphi)``, along the last
+  axis of equispaced samples.
 * :func:`polar_sample` — quintic-spline samples of a grid-sampled spectrum
   at polar frequency nodes.  It assumes the spectrum has decayed well inside
   the grid, since the spline's boundary error falls off only geometrically
@@ -22,7 +23,6 @@ All functions are pure; arrays are never modified in place.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +31,12 @@ from scipy import ndimage
 __all__ = [
     "CartesianGrid",
     "PolarFrequencyGrid",
-    "AngularSeries",
-    "AliasingWarning",
     "fourier_transform_2d",
     "inverse_fourier_transform_2d",
     "pad_samples",
-    "angular_coefficients",
     "angular_coefficient_matrix",
-    "evaluate_angular_series",
     "polar_sample",
 ]
-
-
-class AliasingWarning(UserWarning):
-    """High-order angular coefficients carry non-negligible energy."""
 
 
 @dataclass(frozen=True)
@@ -124,35 +116,6 @@ class PolarFrequencyGrid:
         return 2.0 * np.pi * np.arange(self.ntheta) / self.ntheta
 
 
-@dataclass(frozen=True)
-class AngularSeries:
-    """Truncated Fourier series on the circle.
-
-    ``coefficients[l + lmax]`` approximates
-    ``(1/2pi) * integral_0^2pi g(phi) exp(-i*l*phi) dphi`` for ``|l| <= lmax``.
-    """
-
-    lmax: int
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.lmax < 0:
-            raise ValueError(f"lmax must be >= 0, got {self.lmax}")
-        if self.coefficients.shape != (2 * self.lmax + 1,):
-            raise ValueError(
-                f"expected {2 * self.lmax + 1} coefficients, got shape "
-                f"{self.coefficients.shape}"
-            )
-
-    def __getitem__(self, l: int) -> complex:
-        if abs(l) > self.lmax:
-            raise IndexError(f"harmonic {l} outside |l| <= {self.lmax}")
-        return self.coefficients[l + self.lmax]
-
-    def orders(self) -> np.ndarray:
-        return np.arange(-self.lmax, self.lmax + 1)
-
-
 def _check_finite(values: np.ndarray, what: str) -> None:
     # np.isfinite checks both parts of complex inputs
     if not np.isfinite(values).all():
@@ -216,41 +179,12 @@ def pad_samples(values: np.ndarray, grid: CartesianGrid, factor: int) -> tuple[n
     return out, big
 
 
-def angular_coefficients(samples: np.ndarray, lmax: int | None = None) -> AngularSeries:
-    """Fourier coefficients of equispaced samples over ``[0, 2*pi)``.
-
-    Exact for trigonometric polynomials of degree ``<= lmax``.  Requires
-    ``len(samples) >= 2*lmax + 2``; by default ``lmax = ntheta//2 - 1``.
-    Warns with :class:`AliasingWarning` when the top-quarter harmonics carry
-    more than ``1e-8`` of the total energy.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    if samples.ndim != 1 or samples.size < 2:
-        raise ValueError("samples must be a 1D array with at least 2 entries")
-    _check_finite(samples, "angular samples")
-    ntheta = samples.size
-    if lmax is None:
-        lmax = ntheta // 2 - 1
-    if ntheta < 2 * lmax + 2:
-        raise ValueError(f"need ntheta >= {2 * lmax + 2} samples for lmax={lmax}, got {ntheta}")
-    coeffs = angular_coefficient_matrix(samples[None, :], lmax)[0]
-
-    energy = np.abs(coeffs) ** 2
-    total = energy.sum()
-    if total > 0:
-        top = np.abs(np.arange(-lmax, lmax + 1)) > 0.75 * lmax
-        if lmax > 0 and energy[top].sum() > 1e-8 * total:
-            warnings.warn(
-                "top-quarter angular coefficients carry > 1e-8 of total energy; "
-                "samples are likely under-resolved",
-                AliasingWarning,
-                stacklevel=2,
-            )
-    return AngularSeries(lmax=lmax, coefficients=coeffs)
-
-
 def angular_coefficient_matrix(samples: np.ndarray, lmax: int) -> np.ndarray:
-    """Vectorized angular DFT: last axis phi ``->`` last axis ``l`` in ``[-lmax, lmax]``."""
+    """Vectorized angular DFT: last axis phi ``->`` last axis ``l`` in ``[-lmax, lmax]``.
+
+    The samples sit at ``phi_j = 2*pi*j / ntheta``.  Exact for trigonometric
+    polynomials of degree ``<= lmax``; requires ``ntheta >= 2*lmax + 2``.
+    """
     samples = np.asarray(samples, dtype=complex)
     ntheta = samples.shape[-1]
     if ntheta < 2 * lmax + 2:
@@ -258,13 +192,6 @@ def angular_coefficient_matrix(samples: np.ndarray, lmax: int) -> np.ndarray:
     raw = np.fft.fft(samples, axis=-1) / ntheta
     idx = np.arange(-lmax, lmax + 1) % ntheta
     return raw[..., idx]
-
-
-def evaluate_angular_series(series: AngularSeries, phis: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_l c_l exp(i*l*phi)`` at the given angles."""
-    phis = np.asarray(phis, dtype=float)
-    ls = series.orders()
-    return np.exp(1j * np.multiply.outer(phis, ls)) @ series.coefficients
 
 
 def polar_sample(

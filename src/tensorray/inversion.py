@@ -252,7 +252,6 @@ def invert(
     convention: str = "lemma",
     nq: int = 1024,
     lmax: int | None = None,
-    low_freq_cutoff: float | None = None,
     check_range: bool = True,
 ) -> TensorField2D:
     """Reconstruct the solenoidal field whose ray transform is ``psi``.
@@ -264,12 +263,6 @@ def invert(
     arbitrary parity-correct data it still produces the field whose transform
     best matches, after warning via :class:`RangeDataWarning` when
     ``check_range`` is set.
-
-    ``low_freq_cutoff``, when given, multiplies the amplitude by a smooth
-    even ramp vanishing for ``q <= cutoff`` and equal to one for
-    ``q >= 2 * cutoff``, producing spectra that vanish near zero at the price
-    of a low-frequency bias; it is off by default because the bias is far
-    larger than the reconstruction error at desk scale.
     """
     if check_range:
         _range_warnings(psi)
@@ -281,19 +274,8 @@ def invert(
     amp_coeffs = (-1.0) ** m * (-1.0j) ** ls[:, None] * coeffs
     dc = (-1.0) ** m * zero_coeffs[lm] if m == 0 else 0.0
     amp = _assemble_isotropic_harmonics(qfine, amp_coeffs, dc, grid)
-    if low_freq_cutoff is not None:
-        if low_freq_cutoff <= 0:
-            raise ValueError(f"low_freq_cutoff must be positive, got {low_freq_cutoff}")
-        qx, qy = grid.dual().mesh()
-        amp = amp * _smooth_ramp(np.hypot(qx, qy), low_freq_cutoff)
     amp = _hermitian_part(amp, m)
     return synthesize_solenoidal(amp, m, grid)
-
-
-def _smooth_ramp(q: np.ndarray, qlo: float) -> np.ndarray:
-    """Even ramp: 0 for ``q <= qlo``, 1 for ``q >= 2*qlo``, cosine in between."""
-    x = np.clip((np.abs(q) - qlo) / qlo, 0.0, 1.0)
-    return 0.5 * (1.0 - np.cos(np.pi * x))
 
 
 def invert_coefficient_route(
@@ -336,6 +318,8 @@ def roundtrip_report(
     Returns a JSON-ready dict with keys ``roundtrip_l2_rel``,
     ``reshetnyak_ratio``, ``convention``, ``params`` and ``moments``; zero
     fields are reported as ``degenerate`` instead of dividing by zero norms.
+    The round trip and the isometry ratio are both measured against the
+    solenoidal part of ``f``, so fields with a potential part are accepted.
     """
     base = {
         "convention": convention,
@@ -345,11 +329,13 @@ def roundtrip_report(
     if field_l2_norm(f) == 0.0:
         return {**base, "degenerate": True}
     psi = forward(f, num_p=f.grid.n + 1 if num_p is None else num_p, ntheta=ntheta)
+    # I_m annihilates the potential part, so psi is also the sinogram of the
+    # solenoidal part, the field both the isometry and the inversion refer to
+    reference = solenoidal_project(f)
     ratio = reshetnyak_check(
-        f, params, convention, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=psi
+        reference, params, convention, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=psi
     )
     reconstructed = invert(psi, f.grid, convention, check_range=False)
-    reference = solenoidal_project(f)
     moments = check_moment_conditions(psi, rmax=rmax, tol=moment_tol)
     return {
         **base,

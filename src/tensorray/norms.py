@@ -31,11 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    TensorField2D,
-    component_spectrum_polar,
-    relative_divergence_residual,
-)
+from .fields import TensorField2D, component_spectrum_polar, require_solenoidal
 from .grids import PolarFrequencyGrid, angular_coefficient_matrix
 from .ray import Sinogram, forward
 from .slices import tilde_coefficients, transform_sinogram
@@ -219,13 +215,7 @@ def field_norm(
     relative divergence residual above ``1e-6`` are rejected.
     """
     params.require_field_admissible()
-    if f.m >= 1:
-        residual = relative_divergence_residual(f)
-        if residual > 1e-6:
-            raise ValueError(
-                f"the field norm is defined on solenoidal fields only; relative "
-                f"divergence residual {residual:.3e} > 1e-06"
-            )
+    require_solenoidal(f)
     qs, coeffs = field_harmonics(f, nq=nq, qmax=qmax, ntheta=ntheta)
     norm_sq = weighted_norm_sq(
         qs, coeffs, params, radial_exponent_offset=1.0,
@@ -248,7 +238,8 @@ def reshetnyak_check(
 
     ``||I_m f||_(r, s+1/2, t+1/2) / ||f||_(r, s, t)`` — equal to 1 under the
     ``"lemma"`` convention and to ``sqrt(2*pi)`` under ``"fst"``, up to
-    discretization error.  Raises on fields with vanishing norm.
+    discretization error.  Raises on fields with vanishing norm and on
+    fields that are not solenoidal.
     """
     return reshetnyak_ratios(
         f, [params], convention,
@@ -270,11 +261,13 @@ def reshetnyak_ratios(
 
     The two spectral decompositions are computed once and reweighted per
     triple, so sweeping parameters costs almost nothing beyond the first
-    ratio.
+    ratio.  The isometry holds on solenoidal fields only, so fields with
+    relative divergence residual above ``1e-6`` are rejected.
     """
     for params in params_list:
         params.require_field_admissible()
         params.shifted().require_sinogram_admissible()
+    require_solenoidal(f)
     if num_p is None:
         num_p = f.grid.n + 1
     if qmax is None:

@@ -26,14 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from .fields import (
-    TensorField2D,
-    component_spectrum_polar,
-    relative_divergence_residual,
-)
+from .fields import TensorField2D, component_spectrum_polar, require_solenoidal
 from .grids import PolarFrequencyGrid, angular_coefficient_matrix
 from .ray import Sinogram, forward
 
@@ -61,9 +58,6 @@ _FT_PREFACTOR = {
 
 # Constant carried by the field side of the solenoidal slice identity.
 _FIELD_SIDE_CONSTANT = {"fst": np.sqrt(2.0 * np.pi), "lemma": 1.0}
-
-# Solenoidality gate for identities that only hold on divergence-free fields.
-_SOLENOIDAL_TOL = 1e-6
 
 
 def _check_convention(convention: str) -> str:
@@ -109,12 +103,6 @@ class SpectralSinogram:
 
     def orders(self) -> np.ndarray:
         return np.arange(-self.lmax, self.lmax + 1)
-
-    def evaluate(self, thetas: np.ndarray) -> np.ndarray:
-        """Values ``psihat(q_k, theta)``, shape ``(len(qs), len(thetas))``."""
-        thetas = np.asarray(thetas, dtype=float)
-        phase = np.exp(1j * np.multiply.outer(self.orders(), thetas))
-        return np.einsum("lk,lt->kt", self.coefficients, phase)
 
     def coefficient_parity_residual(self) -> float:
         """Largest violation of ``psihat_l(-q) = (-1)^(m+l) psihat_l(q)``.
@@ -218,24 +206,62 @@ def sup_relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.abs(np.asarray(lhs) - np.asarray(rhs)).max() / scale)
 
 
-def _slice_setup(
+class _SliceSides(NamedTuple):
+    """Both sides of the slice identities at the positive polar nodes.
+
+    ``psihat`` is the lemma-calculus p-transform of the sinogram and
+    ``fhat`` the spectrum of the last field component turned a quarter turn,
+    ``fhat_m(q_k, theta_j + pi/2)``; both have shape ``(nq, ntheta)``.  Each
+    residual compares the two in another basis.  Under ``fst`` both sides
+    carry ``sqrt(2*pi)``, so the residuals do not depend on the convention.
+    """
+
+    m: int
+    psihat: np.ndarray
+    fhat: np.ndarray
+
+    def tilde(self) -> np.ndarray:
+        """``sin^m(theta) * psihat``, the sinogram side of the value identity."""
+        ntheta = self.psihat.shape[1]
+        thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
+        return np.sin(thetas) ** self.m * self.psihat
+
+    def solenoidal_residual(self) -> float:
+        return sup_relative_residual(self.tilde(), self.fhat)
+
+    def coefficient_residual(self) -> float:
+        # the quarter turn of fhat carries the i^l of the coefficient identity
+        lmax = self.psihat.shape[1] // 2 - 1
+        lhs = tilde_coefficients(angular_coefficient_matrix(self.psihat, lmax).T, self.m)
+        rhs = angular_coefficient_matrix(self.fhat, lmax - self.m).T
+        return sup_relative_residual(lhs, rhs)
+
+    def constant(self) -> float:
+        """Least-squares ``c`` with ``tilde ~ c * fhat`` (lemma calculus)."""
+        denom = np.vdot(self.fhat, self.fhat).real
+        if denom == 0.0:
+            raise ValueError("field spectrum vanishes; constant is undetermined")
+        return float(np.vdot(self.fhat, self.tilde()).real / denom)
+
+
+def _slice_sides(
     f: TensorField2D,
-    num_p: int | None,
-    ntheta: int,
-    nq: int,
-    qmax: float | None,
-    sinogram: Sinogram | None,
-):
-    if num_p is None:
-        num_p = f.grid.n + 1
-    if qmax is None:
-        qmax = f.grid.radius
-    pgrid = PolarFrequencyGrid(nq=nq, qmax=qmax, ntheta=ntheta)
+    num_p: int | None = None,
+    ntheta: int = 128,
+    nq: int = 512,
+    qmax: float | None = None,
+    sinogram: Sinogram | None = None,
+) -> _SliceSides:
+    """Gate, project (unless ``sinogram`` is given) and transform once."""
+    require_solenoidal(f)
+    pgrid = PolarFrequencyGrid(nq=nq, qmax=f.grid.radius if qmax is None else qmax, ntheta=ntheta)
     if sinogram is None:
-        sinogram = forward(f, num_p=num_p, ntheta=ntheta)
+        sinogram = forward(f, num_p=f.grid.n + 1 if num_p is None else num_p, ntheta=ntheta)
     elif sinogram.ntheta != ntheta:
         raise ValueError("provided sinogram must match the requested ntheta")
-    return pgrid, sinogram
+    psihat = sinogram_transform_values(sinogram, "lemma", pgrid.radial_nodes())
+    fhat = component_spectrum_polar(f, f.m, pgrid, angle_offset=np.pi / 2.0)
+    return _SliceSides(f.m, psihat, fhat)
 
 
 def fst_scalar_residual(
@@ -251,37 +277,11 @@ def fst_scalar_residual(
     Compares the p-transform of the rank-0 ray transform against
     ``sqrt(2*pi)`` times the field spectrum rotated a quarter turn, on the
     positive polar frequency nodes; returns the sup-normalized residual.
+    This is the ``m = 0`` case of :func:`fst_solenoidal_residual`.
     """
     if f.m != 0:
         raise ValueError(f"the scalar slice identity needs m = 0, got m = {f.m}")
-    pgrid, sino = _slice_setup(f, num_p, ntheta, nq, qmax, sinogram)
-    lhs = sinogram_transform_values(sino, "fst", pgrid.radial_nodes())
-    rhs = np.sqrt(2.0 * np.pi) * component_spectrum_polar(f, 0, pgrid, angle_offset=np.pi / 2.0)
-    return sup_relative_residual(lhs, rhs)
-
-
-def _solenoidal_slice_sides(
-    f: TensorField2D,
-    convention: str,
-    num_p: int | None,
-    ntheta: int,
-    nq: int,
-    qmax: float | None,
-    sinogram: Sinogram | None,
-) -> tuple[np.ndarray, np.ndarray, PolarFrequencyGrid, Sinogram]:
-    _check_convention(convention)
-    if f.m >= 1:
-        residual = relative_divergence_residual(f)
-        if residual > _SOLENOIDAL_TOL:
-            raise ValueError(
-                f"field is not solenoidal (relative divergence residual "
-                f"{residual:.3e} > {_SOLENOIDAL_TOL:g}); apply solenoidal_project first"
-            )
-    pgrid, sino = _slice_setup(f, num_p, ntheta, nq, qmax, sinogram)
-    values = sinogram_transform_values(sino, convention, pgrid.radial_nodes())
-    lhs = np.sin(pgrid.angular_nodes())[None, :] ** f.m * values
-    rhs_base = component_spectrum_polar(f, f.m, pgrid, angle_offset=np.pi / 2.0)
-    return lhs, rhs_base, pgrid, sino
+    return _slice_sides(f, num_p, ntheta, nq, qmax, sinogram).solenoidal_residual()
 
 
 def fst_solenoidal_residual(
@@ -296,13 +296,12 @@ def fst_solenoidal_residual(
     """Mismatch of the solenoidal slice identity for ``q > 0``.
 
     Under ``"lemma"`` the field side carries no constant; under ``"fst"`` it
-    carries ``sqrt(2*pi)``.  Rejects non-solenoidal fields (relative
-    divergence residual above ``1e-6``).
+    carries ``sqrt(2*pi)``, as does the sinogram side, so the residual is the
+    same.  Rejects non-solenoidal fields (relative divergence residual above
+    ``1e-6``).
     """
-    lhs, rhs_base, _, _ = _solenoidal_slice_sides(
-        f, convention, num_p, ntheta, nq, qmax, sinogram
-    )
-    return sup_relative_residual(lhs, _FIELD_SIDE_CONSTANT[convention] * rhs_base)
+    _check_convention(convention)
+    return _slice_sides(f, num_p, ntheta, nq, qmax, sinogram).solenoidal_residual()
 
 
 def measure_slice_constant(
@@ -320,13 +319,9 @@ def measure_slice_constant(
     ``sqrt(2*pi)`` under ``"fst"``, quantifying the normalization gap between
     the two calculi on actual data.
     """
-    lhs, rhs_base, _, _ = _solenoidal_slice_sides(
-        f, convention, num_p, ntheta, nq, qmax, sinogram
-    )
-    denom = np.vdot(rhs_base, rhs_base).real
-    if denom == 0.0:
-        raise ValueError("field spectrum vanishes; constant is undetermined")
-    return float((np.vdot(rhs_base, lhs) / denom).real)
+    _check_convention(convention)
+    sides = _slice_sides(f, num_p, ntheta, nq, qmax, sinogram)
+    return float(_FIELD_SIDE_CONSTANT[convention] * sides.constant())
 
 
 def fst_coefficient_residual(
@@ -342,24 +337,8 @@ def fst_coefficient_residual(
 
     Checks ``(2i)^(-m) sum_k (-1)^k C(m,k) psihat_{l-m+2k}(q) = i^l (fhat_m)_l(q)``
     for ``q > 0`` across all harmonics the angular resolution supports (the
-    ``fst`` convention multiplies the right side by ``sqrt(2*pi)``).
+    ``fst`` convention multiplies both sides by ``sqrt(2*pi)``, so the
+    residual is the same).  Rejects non-solenoidal fields.
     """
     _check_convention(convention)
-    if f.m >= 1:
-        residual = relative_divergence_residual(f)
-        if residual > _SOLENOIDAL_TOL:
-            raise ValueError(
-                f"field is not solenoidal (relative divergence residual "
-                f"{residual:.3e} > {_SOLENOIDAL_TOL:g}); apply solenoidal_project first"
-            )
-    pgrid, sino = _slice_setup(f, num_p, ntheta, nq, qmax, sinogram)
-    lmax = ntheta // 2 - 1
-    spectral = transform_sinogram(sino, convention, qs=pgrid.radial_nodes(), lmax=lmax)
-    lhs = tilde_coefficients(spectral.coefficients, f.m)
-
-    lmax_out = lmax - f.m
-    field_values = component_spectrum_polar(f, f.m, pgrid)
-    field_coeffs = angular_coefficient_matrix(field_values, lmax_out).T
-    ls = np.arange(-lmax_out, lmax_out + 1)
-    rhs = (1j) ** ls[:, None] * field_coeffs * _FIELD_SIDE_CONSTANT[convention]
-    return sup_relative_residual(lhs, rhs)
+    return _slice_sides(f, num_p, ntheta, nq, qmax, sinogram).coefficient_residual()

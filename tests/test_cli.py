@@ -1,5 +1,6 @@
 """End-to-end command-line workflows and exit codes."""
 
+import collections
 import json
 
 import numpy as np
@@ -29,6 +30,15 @@ def field_file(tmp_path_factory):
 def scalar_field_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "g.tf2d"
     assert main(["generate", "--m", "0", "--kind", "generic",
+                 "--n", "128", "--radius", "8", "-o", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def generic_field_file(tmp_path_factory):
+    # solenoidal plus potential part
+    path = tmp_path_factory.mktemp("cli") / "h.tf2d"
+    assert main(["generate", "--m", "1", "--kind", "generic",
                  "--n", "128", "--radius", "8", "-o", str(path)]) == 0
     return path
 
@@ -136,11 +146,60 @@ class TestCheck:
                            "--convention", "lemma", "--tol", "2e-3")
         assert code == 0
 
+    def test_reshetnyak_rejects_non_solenoidal(self, capsys, generic_field_file):
+        code, _, err = run(capsys, "check", "reshetnyak", str(generic_field_file))
+        assert code == 2
+        assert "solenoidal_project" in err
+
+    @pytest.mark.parametrize("fixture, convention, gates", [
+        ("field_file", "lemma", 1),
+        ("scalar_field_file", "fst", 0),  # scalar fields need no gate
+    ])
+    def test_slice_computes_each_side_once(self, capsys, monkeypatch, request,
+                                           fixture, convention, gates):
+        import tensorray.fields
+        import tensorray.slices
+
+        calls = collections.Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("forward", "component_spectrum_polar", "sinogram_transform_values"):
+            count(tensorray.slices, name)
+        count(tensorray.fields, "relative_divergence_residual")
+        path = request.getfixturevalue(fixture)
+        code, out, _ = run(capsys, "check", "slice", str(path),
+                           "--convention", convention, "--tol", "2e-3")
+        assert code == 0
+        assert calls == collections.Counter(
+            forward=1, component_spectrum_polar=1, sinogram_transform_values=1,
+            relative_divergence_residual=gates,
+        )
+        report = json.loads(out)
+        if convention == "fst":
+            assert report["scalar_residual"] == report["solenoidal_residual"]
+
     def test_invert_roundtrip(self, capsys, field_file):
         code, out, _ = run(capsys, "check", "invert", str(field_file))
         assert code == 0
         report = json.loads(out)
         assert report["roundtrip_l2_rel"] < 2e-2
+        assert report["pass"] is True
+
+    def test_invert_generic_field(self, capsys, generic_field_file):
+        # the potential part is annihilated by the forward transform; the
+        # round trip and the isometry both refer to the solenoidal part
+        code, out, _ = run(capsys, "check", "invert", str(generic_field_file))
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["reshetnyak_ratio"] - 1.0) < 1e-2
         assert report["pass"] is True
 
     def test_invert_degenerate_field(self, capsys, tmp_path):

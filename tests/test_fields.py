@@ -235,31 +235,6 @@ class TestRandomSolenoidalField:
         assert relative_l2_error(f1, f2) > 1e-2
 
 
-class TestSolenoidalSpectrum:
-    def test_component_encoding(self):
-        from tensorray import PolarFrequencyGrid, SolenoidalSpectrum
-
-        pgrid = PolarFrequencyGrid(nq=4, qmax=2.0, ntheta=8)
-        amp = np.ones((4, 8), dtype=complex)
-        spec = SolenoidalSpectrum(m=2, pgrid=pgrid, amplitude=amp)
-        phis = pgrid.angular_nodes()
-        # component j carries (-sin phi)^(m-j) (cos phi)^j
-        assert np.allclose(spec.component_values(0), (-np.sin(phis)) ** 2)
-        assert np.allclose(spec.component_values(1), -np.sin(phis) * np.cos(phis))
-        assert np.allclose(spec.component_values(2), np.cos(phis) ** 2)
-
-    def test_validation(self):
-        from tensorray import PolarFrequencyGrid, SolenoidalSpectrum
-
-        pgrid = PolarFrequencyGrid(nq=4, qmax=2.0, ntheta=8)
-        with pytest.raises(ValueError, match="shape"):
-            SolenoidalSpectrum(m=1, pgrid=pgrid, amplitude=np.ones((3, 8)))
-        bad = np.ones((4, 8), dtype=complex)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            SolenoidalSpectrum(m=1, pgrid=pgrid, amplitude=bad)
-
-
 class TestComponentSpectrumPolar:
     @pytest.mark.parametrize("angle_offset", [0.0, np.pi / 2.0])
     def test_off_centre_gaussian_matches_analytic(self, angle_offset, grid256):

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from tensorray import (
-    AliasingWarning,
-    AngularSeries,
     CartesianGrid,
     PolarFrequencyGrid,
-    angular_coefficients,
-    evaluate_angular_series,
     fourier_transform_2d,
     inverse_fourier_transform_2d,
     pad_samples,
     polar_sample,
 )
+from tensorray.grids import angular_coefficient_matrix
 
 
 def gaussian(grid, width=1.0):
@@ -106,68 +103,51 @@ class TestFourierTransform2D:
 
 
 class TestAngularSeries:
+    """``angular_coefficient_matrix``: row ``l + lmax`` holds harmonic ``l``."""
+
     def test_constant(self):
-        series = angular_coefficients(np.ones(32))
-        assert series[0] == pytest.approx(1.0)
-        coeffs = series.coefficients.copy()
-        coeffs[series.lmax] = 0.0
+        coeffs = angular_coefficient_matrix(np.ones(32), 15)
+        assert coeffs[15] == pytest.approx(1.0)
+        coeffs[15] = 0.0
         assert np.abs(coeffs).max() < 1e-15
 
     def test_single_harmonic(self):
         phi = 2 * np.pi * np.arange(32) / 32
-        series = angular_coefficients(np.exp(2j * phi))
-        assert series[2] == pytest.approx(1.0)
-        assert abs(series[0]) < 1e-15 and abs(series[-2]) < 1e-15
+        coeffs = angular_coefficient_matrix(np.exp(2j * phi), 15)
+        assert coeffs[15 + 2] == pytest.approx(1.0)
+        assert abs(coeffs[15]) < 1e-15 and abs(coeffs[15 - 2]) < 1e-15
 
     def test_sine_matches_quadrature_oracle(self):
         phi = 2 * np.pi * np.arange(64) / 64
-        series = angular_coefficients(np.sin(phi))
+        coeffs = angular_coefficient_matrix(np.sin(phi), 31)
         # oracle: 64-point rectangle rule of (1/2pi) int sin(phi) e^{-il phi}
         for l in (-1, 1):
             oracle = np.mean(np.sin(phi) * np.exp(-1j * l * phi))
-            assert series[l] == pytest.approx(oracle, abs=1e-15)
-        assert series[1] == pytest.approx(1.0 / 2.0j)
-        assert series[-1] == pytest.approx(-1.0 / 2.0j)
+            assert coeffs[31 + l] == pytest.approx(oracle, abs=1e-15)
+        assert coeffs[31 + 1] == pytest.approx(1.0 / 2.0j)
+        assert coeffs[31 - 1] == pytest.approx(-1.0 / 2.0j)
 
     def test_real_input_conjugate_symmetry(self):
         rng = np.random.default_rng(7)
-        samples = rng.standard_normal(16)
-        with pytest.warns(AliasingWarning):  # broadband by construction
-            series = angular_coefficients(samples)
-        for l in range(1, series.lmax + 1):
-            assert series[-l] == pytest.approx(np.conj(series[l]))
+        coeffs = angular_coefficient_matrix(rng.standard_normal(16), 7)
+        for l in range(1, 8):
+            assert coeffs[7 - l] == pytest.approx(np.conj(coeffs[7 + l]))
 
     def test_roundtrip_reproduces_samples(self):
         rng = np.random.default_rng(3)
         ntheta = 32
         lmax = ntheta // 2 - 1
-        coeffs = rng.standard_normal(2 * lmax + 1) + 1j * rng.standard_normal(2 * lmax + 1)
-        ref = AngularSeries(lmax=lmax, coefficients=coeffs)
+        ref = rng.standard_normal(2 * lmax + 1) + 1j * rng.standard_normal(2 * lmax + 1)
         phi = 2 * np.pi * np.arange(ntheta) / ntheta
-        samples = evaluate_angular_series(ref, phi)
-        with pytest.warns(AliasingWarning):  # broadband by construction
-            series = angular_coefficients(samples)
-        back = evaluate_angular_series(series, phi)
-        assert np.abs(back - samples).max() < 1e-12
+        synth = np.exp(1j * np.multiply.outer(phi, np.arange(-lmax, lmax + 1)))
+        samples = synth @ ref
+        coeffs = angular_coefficient_matrix(samples, lmax)
+        assert np.abs(coeffs - ref).max() < 1e-12
+        assert np.abs(synth @ coeffs - samples).max() < 1e-12
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError, match="ntheta"):
-            angular_coefficients(np.ones(8), lmax=4)
-
-    def test_aliasing_warning(self):
-        ntheta = 64
-        phi = 2 * np.pi * np.arange(ntheta) / ntheta
-        high = np.exp(1j * 30 * phi)
-        with pytest.warns(AliasingWarning):
-            angular_coefficients(high)
-
-    def test_smooth_input_does_not_warn(self):
-        phi = 2 * np.pi * np.arange(64) / 64
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", AliasingWarning)
-            angular_coefficients(np.cos(phi))
+            angular_coefficient_matrix(np.ones(8), lmax=4)
 
 
 class TestPolarResample:

@@ -147,14 +147,6 @@ class TestInvert:
             warnings.simplefilter("error", RangeDataWarning)
             invert(psi, grid64)
 
-    def test_low_freq_cutoff_biases_but_stays_solenoidal(self, grid128):
-        f = gaussian_test_field(1, "solenoidal", grid128)
-        psi = forward(f, num_p=129, ntheta=64)
-        plain = invert(psi, grid128, check_range=False)
-        cut = invert(psi, grid128, check_range=False, low_freq_cutoff=np.pi / 4.0)
-        assert relative_divergence_residual(cut) < 1e-8
-        assert relative_l2_error(cut, f) > relative_l2_error(plain, f)
-
 
 class TestCoefficientRoute:
     def test_m0_gaussian(self, grid128):

@@ -146,6 +146,15 @@ class TestReshetnyak:
         singles = [reshetnyak_check(f, p, "lemma", ntheta=64) for p in plist]
         assert np.allclose(swept, singles, rtol=1e-12)
 
+    def test_non_solenoidal_rejected_with_advice(self, grid64):
+        # the potential part of a generic field has norm but no sinogram, so
+        # the isometry ratio would read below 1 rather than fail
+        f = gaussian_test_field(1, "generic", grid64)
+        with pytest.raises(ValueError, match="solenoidal_project"):
+            reshetnyak_ratios(f, [SobolevParams(0, 0, 0)])
+        with pytest.raises(ValueError, match="solenoidal_project"):
+            reshetnyak_check(f, SobolevParams(0, 0, 0))
+
     def test_shifted_admissibility_enforced(self, grid64):
         f = gaussian_test_field(0, "generic", grid64)
         with pytest.raises(ValueError, match="t > -1"):

@@ -193,6 +193,24 @@ class TestSliceResiduals:
         f = gaussian_test_field(m, "solenoidal", grid128)
         assert fst_coefficient_residual(f, "lemma", ntheta=64) < 1.5e-3
 
+    def test_coefficient_residual_at_ntheta_not_divisible_by_4(self, grid128):
+        # the quarter turn of the field spectrum is then no shift of the
+        # angular samples, so the rotated spectrum must still carry i^l
+        f = gaussian_test_field(1, "solenoidal", grid128)
+        assert fst_coefficient_residual(f, "lemma", ntheta=90) < 1.5e-3
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_residuals_do_not_depend_on_convention(self, m, grid128):
+        f = gaussian_test_field(m, "solenoidal", grid128)
+        psi = forward(f, num_p=129, ntheta=64)
+        for residual in (fst_solenoidal_residual, fst_coefficient_residual):
+            lemma = residual(f, "lemma", ntheta=64, sinogram=psi)
+            fst = residual(f, "fst", ntheta=64, sinogram=psi)
+            assert fst == pytest.approx(lemma, rel=1e-12)
+        lemma = measure_slice_constant(f, "lemma", ntheta=64, sinogram=psi)
+        fst = measure_slice_constant(f, "fst", ntheta=64, sinogram=psi)
+        assert fst == pytest.approx(np.sqrt(2.0 * np.pi) * lemma, rel=1e-12)
+
     def test_coefficient_and_value_residuals_agree(self, grid128):
         # same identity in two bases; the residuals track within a factor 2
         f = gaussian_test_field(1, "solenoidal", grid128)
