@@ -40,11 +40,7 @@ from .fields import (
 from .grids import CartesianGrid, angular_coefficient_matrix, inverse_fourier_transform_2d
 from .norms import SobolevParams, reshetnyak_check
 from .ray import Sinogram, forward, parity_residual
-from .slices import (
-    sinogram_transform_values,
-    tilde_coefficients,
-    transform_sinogram,
-)
+from .slices import _check_convention, sinogram_transform_values, tilde_coefficients
 
 __all__ = [
     "MomentOrder",
@@ -60,7 +56,17 @@ __all__ = [
 # indistinguishable from zero at quadrature precision and pass trivially.
 _DEGENERATE_REL = 1e-3
 
-_CONV_TO_LEMMA = {"lemma": 1.0, "fst": 1.0 / np.sqrt(2.0 * np.pi)}
+# A solenoidal part below this fraction of ||f|| is not measurable next to a
+# potential part.  Projecting pure potential Gaussians leaves 1e-16..7e-14 of
+# ||f|| (up to 2.5e-8 when a wide one is cut off at the grid edge).  What the
+# quadrature leaves of the potential part in the sinogram puts an error of
+# 7e-10..1.4e-8 of ||f|| on the round trip (ranks 1 and 3, n = 128), which is
+# 7e-4..1.4e-2 of a solenoidal part of 1e-6 ||f||: near the tolerance already.
+_NEGLIGIBLE_SOLENOIDAL = 1e-6
+
+# Dual-grid radii transformed at once by the inversion: bounds its working
+# memory (a radii x offsets kernel and the block's harmonics) at any n.
+_RADII_PER_BLOCK = 512
 
 
 class RangeDataWarning(UserWarning):
@@ -156,60 +162,49 @@ def check_moment_conditions(psi: Sinogram, rmax: int, tol: float = 1e-5) -> Mome
     return MomentReport(m=psi.m, rmax=rmax, tol=tol, orders=tuple(orders))
 
 
-def _fine_coefficients(
-    psi: Sinogram,
-    convention: str,
-    grid: CartesianGrid,
-    nq: int,
-    lmax: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lemma-calculus coefficients on a fine positive node set plus at q = 0."""
-    if lmax is None:
-        lmax = psi.ntheta // 2 - 1
-    dual = grid.dual()
-    qmax = min(dual.radius - dual.spacing, np.pi / psi.dp)
-    qfine = (np.arange(nq) + 0.5) * (qmax / nq)
-    scale = _CONV_TO_LEMMA[convention]
-    spectral = transform_sinogram(psi, convention, qs=qfine, lmax=lmax)
-    coeffs = scale * spectral.coefficients
-    zero_values = sinogram_transform_values(psi, convention, np.array([0.0]))
-    zero_coeffs = scale * angular_coefficient_matrix(zero_values, lmax)[0]
-    return qfine, coeffs, zero_coeffs
+def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.ndarray:
+    """``g(|y|, arg(y) - pi/2)`` on the centered dual grid of ``grid``.
 
-
-def _assemble_isotropic_harmonics(
-    qfine: np.ndarray,
-    coeffs: np.ndarray,
-    dc_value: complex,
-    grid: CartesianGrid,
-) -> np.ndarray:
-    """``sum_l C_l(|y|) exp(i l phi(y))`` on the centered dual grid of ``grid``.
-
-    ``coeffs[l + lmax, k]`` are radial profiles on ``qfine``; they are
-    interpolated linearly in ``|y|``, read as zero beyond the last node, and
-    the ``y = 0`` point is set to ``dc_value``.
+    ``g(q, theta) = sin^power(theta) * psihat(q, theta)``, with ``psihat`` the
+    lemma-calculus p-transform of ``psi``.  ``g`` is evaluated at the grid's
+    own distinct radii, below ``min(dual.radius - dual.spacing, pi/dp)``
+    (zero beyond), and turned through its angular series:
+    ``sum_l (-i)^l g_l(|y|) e^{i l arg y}``, where ``(-i)^l e^{i l phi}`` is
+    ``e^{i l (phi - pi/2)}``.  The ``y = 0`` point keeps only ``l = 0``.
+    Work runs in blocks of radii, so memory stays at one block's worth.
     """
-    lmax = (coeffs.shape[0] - 1) // 2
+    lmax = psi.ntheta // 2 - 1
     dual = grid.dual()
-    qx, qy = dual.mesh()
-    rad = np.hypot(qx, qy).ravel()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phase = np.where(rad > 0, (qx.ravel() + 1j * qy.ravel()) / rad, 1.0 + 0.0j)
-
-    def radial(l: int) -> np.ndarray:
-        prof = coeffs[l + lmax]
-        return np.interp(rad, qfine, prof.real, right=0.0) + 1j * np.interp(
-            rad, qfine, prof.imag, right=0.0
-        )
-
-    out = radial(0).astype(complex)
-    power = np.ones_like(phase)
-    for l in range(1, lmax + 1):
-        power = power * phase
-        out += radial(l) * power + radial(-l) * np.conj(power)
-    out = out.reshape(grid.n, grid.n)
-    out[grid.n // 2, grid.n // 2] = dc_value  # centered layout: y = 0 bin
-    return out
+    half = grid.n // 2
+    k = np.arange(grid.n) - half
+    ksq = (k[:, None] ** 2 + k[None, :] ** 2).ravel()
+    order = np.argsort(ksq, kind="stable")
+    distinct, radius_index = np.unique(ksq[order], return_inverse=True)
+    # band edge in units of the dual spacing; strict, since a radius on it
+    # reaches the last row of the dual grid
+    edge = min(half - 1, np.pi / psi.dp / dual.spacing)
+    in_band = int(np.searchsorted(distinct, edge**2))
+    bounds = np.append(np.arange(0, in_band, _RADII_PER_BLOCK), in_band)
+    radii = np.sqrt(distinct[:in_band]) * dual.spacing
+    starts = np.searchsorted(radius_index, bounds)
+    out = np.zeros(grid.n * grid.n, dtype=complex)
+    for b0, b1, first, last in zip(bounds[:-1], bounds[1:], starts[:-1], starts[1:]):
+        values = sinogram_transform_values(psi, "lemma", radii[b0:b1])
+        coeffs = tilde_coefficients(angular_coefficient_matrix(values, lmax).T, power)
+        lm = (coeffs.shape[0] - 1) // 2
+        coeffs *= (-1.0j) ** np.arange(-lm, lm + 1)[:, None]
+        points = order[first:last]
+        local = radius_index[first:last] - b0
+        kx, ky = np.divmod(points, grid.n)
+        # e^{i arg y}; it reads 0 at y = 0, which leaves only l = 0 there
+        phase = (kx - half + 1j * (ky - half)) / np.sqrt(np.maximum(ksq[points], 1))
+        acc = coeffs[lm, local]
+        turn = np.ones(points.size, dtype=complex)
+        for l in range(1, lm + 1):
+            turn *= phase
+            acc += coeffs[lm + l, local] * turn + coeffs[lm - l, local] * np.conj(turn)
+        out[points] = acc
+    return out.reshape(grid.n, grid.n)
 
 
 def _hermitian_part(amp: np.ndarray, m: int) -> np.ndarray:
@@ -250,55 +245,43 @@ def invert(
     psi: Sinogram,
     grid: CartesianGrid,
     convention: str = "lemma",
-    nq: int = 1024,
-    lmax: int | None = None,
     check_range: bool = True,
 ) -> TensorField2D:
     """Reconstruct the solenoidal field whose ray transform is ``psi``.
 
-    The amplitude ``a(q, phi) = (-1)^m * psihat(q, phi - pi/2)`` (in the
-    lemma calculus; ``fst`` data is rescaled by ``(2*pi)^(-1/2)``) is
-    evaluated on the dual grid of ``grid`` and synthesized into a field.  On
-    range data this recovers the solenoidal part of the original field; on
-    arbitrary parity-correct data it still produces the field whose transform
-    best matches, after warning via :class:`RangeDataWarning` when
-    ``check_range`` is set.
+    The amplitude ``a(q, phi) = (-1)^m * psihat(q, phi - pi/2)`` (lemma
+    calculus) is evaluated at the exact radii of the dual grid of ``grid``
+    and synthesized into a field.  On range data this recovers the
+    solenoidal part of the original field; on arbitrary parity-correct data
+    it still produces the field whose transform best matches, after warning
+    via :class:`RangeDataWarning` when ``check_range`` is set.
+
+    ``convention`` (``"lemma"`` or ``"fst"``) is validated only: ``psi`` is a
+    sinogram, which carries no transform convention, so the reconstruction
+    does not depend on it.
     """
+    _check_convention(convention)
     if check_range:
         _range_warnings(psi)
     m = psi.m
-    qfine, coeffs, zero_coeffs = _fine_coefficients(psi, convention, grid, nq, lmax)
-    lm = (coeffs.shape[0] - 1) // 2
-    ls = np.arange(-lm, lm + 1)
-    # a(q, phi) = (-1)^m sum_l (-i)^l psihat_l(q) e^{i l phi}
-    amp_coeffs = (-1.0) ** m * (-1.0j) ** ls[:, None] * coeffs
-    dc = (-1.0) ** m * zero_coeffs[lm] if m == 0 else 0.0
-    amp = _assemble_isotropic_harmonics(qfine, amp_coeffs, dc, grid)
-    amp = _hermitian_part(amp, m)
-    return synthesize_solenoidal(amp, m, grid)
+    amp = (-1.0) ** m * _quarter_turn_series(psi, grid, 0)
+    return synthesize_solenoidal(_hermitian_part(amp, m), m, grid)
 
 
 def invert_coefficient_route(
     psi: Sinogram,
     grid: CartesianGrid,
     convention: str = "lemma",
-    nq: int = 1024,
-    lmax: int | None = None,
 ) -> np.ndarray:
     """Reconstruct the last component ``f_m`` from the coefficient identity.
 
     Assembles ``fhat_m(z) = sum_l (-i)^l (tilde psi)hat_l(|z|) e^{i l arg z}``
-    and inverse transforms; must agree with component ``m`` of :func:`invert`
-    on range data.  Returns the scalar grid function.
+    at the exact radii of the dual grid and inverse transforms; must agree
+    with component ``m`` of :func:`invert` on range data.  Returns the scalar
+    grid function.  ``convention`` is validated only, as in :func:`invert`.
     """
-    m = psi.m
-    qfine, coeffs, zero_coeffs = _fine_coefficients(psi, convention, grid, nq, lmax)
-    tilde = tilde_coefficients(coeffs, m)
-    lm = (tilde.shape[0] - 1) // 2
-    ls = np.arange(-lm, lm + 1)
-    assembled = (-1.0j) ** ls[:, None] * tilde
-    dc = tilde_coefficients(zero_coeffs, m)[lm]
-    spec = _assemble_isotropic_harmonics(qfine, assembled, dc, grid)
+    _check_convention(convention)
+    spec = _quarter_turn_series(psi, grid, psi.m)
     return inverse_fourier_transform_2d(spec, grid).real
 
 
@@ -316,22 +299,23 @@ def roundtrip_report(
     """Bundle forward/inverse, isometry, and moment evidence for one field.
 
     Returns a JSON-ready dict with keys ``roundtrip_l2_rel``,
-    ``reshetnyak_ratio``, ``convention``, ``params`` and ``moments``; zero
-    fields are reported as ``degenerate`` instead of dividing by zero norms.
-    The round trip and the isometry ratio are both measured against the
-    solenoidal part of ``f``, so fields with a potential part are accepted.
+    ``reshetnyak_ratio``, ``convention``, ``params`` and ``moments``.  The
+    round trip and the isometry ratio are both measured against the
+    solenoidal part of ``f``, so fields with a potential part are accepted;
+    fields whose solenoidal part is negligible (zero and pure potential
+    fields) are reported as ``degenerate`` instead of dividing noise by noise.
     """
     base = {
         "convention": convention,
         "params": {"r": params.r, "s": params.s, "t": params.t},
         "m": f.m,
     }
-    if field_l2_norm(f) == 0.0:
+    reference = solenoidal_project(f)
+    if field_l2_norm(reference) <= _NEGLIGIBLE_SOLENOIDAL * field_l2_norm(f):
         return {**base, "degenerate": True}
     psi = forward(f, num_p=f.grid.n + 1 if num_p is None else num_p, ntheta=ntheta)
     # I_m annihilates the potential part, so psi is also the sinogram of the
     # solenoidal part, the field both the isometry and the inversion refer to
-    reference = solenoidal_project(f)
     ratio = reshetnyak_check(
         reference, params, convention, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=psi
     )

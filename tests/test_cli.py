@@ -217,6 +217,18 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["degenerate"] is True
 
+    def test_invert_potential_field_is_degenerate(self, capsys, tmp_path):
+        # its solenoidal part is rounding noise, which the gate must not judge
+        path = tmp_path / "p.tf2d"
+        assert main(["generate", "--m", "1", "--kind", "potential",
+                     "--n", "128", "--radius", "8", "-o", str(path)]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "check", "invert", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["degenerate"] is True
+        assert report["pass"] is True
+
     def test_moments_pass(self, capsys, sino_file):
         code, out, _ = run(capsys, "check", "moments", str(sino_file),
                            "--rmax", "4", "--tol", "1e-5")

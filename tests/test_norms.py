@@ -10,6 +10,7 @@ from tensorray import (
     field_norm,
     forward,
     gaussian_test_field,
+    random_solenoidal_field,
     reshetnyak_check,
     reshetnyak_ratios,
     sinogram_norm,
@@ -168,6 +169,26 @@ class TestReshetnyak:
         plist = [SobolevParams(0.0, 0.0, t) for t in (-0.9, -0.5, 0.75, 2.0)]
         ratios = reshetnyak_ratios(f, plist, "lemma", ntheta=64, sinogram=psi)
         assert max(abs(r - 1.0) for r in ratios) < 1e-3
+
+    @pytest.mark.parametrize(("m", "bound"), [(1, 1e-5), (3, 2e-5)])
+    def test_isometry_for_any_real_r(self, m, bound, grid256):
+        import itertools
+        import warnings as _warnings
+
+        from tensorray import TruncationWarning
+
+        # negative, zero and fractional r across s and admissible t; desk
+        # scale, since at n=128 the r = 3 triples are truncated
+        plist = [
+            SobolevParams(r, s, t)
+            for r, s, t in itertools.product((-3, -0.5, 0, 1.5, 3), (-1, 0, 2), (-0.9, 0, 1))
+        ]
+        f = random_solenoidal_field(m, grid256, seed=1)
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error", TruncationWarning)
+            ratios = np.array(reshetnyak_ratios(f, plist, "lemma"))
+        # measured 8.7e-7 (m = 1) and 1.9e-6 (m = 3)
+        assert np.abs(ratios - 1.0).max() < bound
 
 
 class TestTruncationWarnings:
