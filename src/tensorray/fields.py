@@ -184,13 +184,21 @@ def solenoidal_project(f: TensorField2D) -> TensorField2D:
     """
     if f.m == 0:
         return f
-    specs = np.fft.fft2(f.components, axes=(1, 2))
     mono = _eta_monomials(f.grid, f.m)
-    w = tensor_weights(f.m)
-    inner = np.sum(w[:, None, None] * specs * mono, axis=0)
-    proj = inner[None, :, :] * mono
-    proj[:, 0, 0] = specs[:, 0, 0]  # fft order: DC sits at index (0, 0)
-    comps = np.fft.ifft2(proj, axes=(1, 2)).real
+    # one n x n spectrum at a time: accumulate <spec, eta^m>, then project
+    inner = np.zeros(mono.shape[1:], dtype=complex)
+    dc = np.empty(f.m + 1, dtype=complex)
+    for j, (weight, comp) in enumerate(zip(tensor_weights(f.m), f.components)):
+        spec = np.fft.fft2(comp)
+        dc[j] = spec[0, 0]  # fft order: DC sits at index (0, 0)
+        spec *= weight
+        spec *= mono[j]
+        inner += spec
+    comps = np.empty_like(f.components)
+    for j in range(f.m + 1):
+        spec = inner * mono[j]
+        spec[0, 0] = dc[j]
+        comps[j] = np.fft.ifft2(spec).real
     return TensorField2D(m=f.m, grid=f.grid, components=comps)
 
 

@@ -39,7 +39,7 @@ from .fields import (
 )
 from .grids import CartesianGrid, angular_coefficient_matrix, inverse_fourier_transform_2d
 from .norms import SobolevParams, reshetnyak_check
-from .ray import Sinogram, forward, parity_residual
+from .ray import Sinogram, _offset_weights, forward, parity_residual
 from .slices import _check_convention, sinogram_transform_values, tilde_coefficients
 
 __all__ = [
@@ -119,9 +119,7 @@ def check_moment_conditions(psi: Sinogram, rmax: int, tol: float = 1e-5) -> Mome
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     ps = psi.p_axis()
-    w = np.full(ps.size, psi.dp)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = _offset_weights(psi)
     lmax = psi.ntheta // 2 - 1
     ls = np.arange(-lmax, lmax + 1)
 
@@ -289,7 +287,7 @@ def roundtrip_report(
     f: TensorField2D,
     params: SobolevParams,
     convention: str = "lemma",
-    num_p: int | None = None,
+    *,
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
@@ -313,7 +311,7 @@ def roundtrip_report(
     reference = solenoidal_project(f)
     if field_l2_norm(reference) <= _NEGLIGIBLE_SOLENOIDAL * field_l2_norm(f):
         return {**base, "degenerate": True}
-    psi = forward(f, num_p=f.grid.n + 1 if num_p is None else num_p, ntheta=ntheta)
+    psi = forward(f, num_p=f.grid.n + 1, ntheta=ntheta)
     # I_m annihilates the potential part, so psi is also the sinogram of the
     # solenoidal part, the field both the isometry and the inversion refer to
     ratio = reshetnyak_check(

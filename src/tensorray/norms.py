@@ -20,8 +20,19 @@ isometry from the field norm at ``(r, s, t)`` to the sinogram norm at
 ``(r, s+1/2, t+1/2)``; :func:`reshetnyak_check` measures the ratio, which is
 ``sqrt(2*pi)`` instead of 1 under the ``"fst"`` convention.
 
-Radial integrals use the midpoint rule on node sets that avoid ``q = 0``,
-where the weight is singular but integrable for admissible ``t``.
+Both norms are evaluated on the positive midpoint nodes
+``q_k = (k + 1/2) * qmax / nq``, which avoid ``q = 0``, where the weight is
+singular but integrable for admissible ``t``.  The sinogram integral over
+``R`` is twice the one over ``q > 0``: a real sinogram has
+``psihat(-q, theta) = conj psihat(q, theta)``, so
+``|(tilde psi)hat_l(-q)| = |(tilde psi)hat_{-l}(q)|``, and ``(1+l^2)^r`` is
+even in ``l``.  Both norms thus read ``(1/2pi) * sum_l ... integral_0^inf``.
+At the shifted indices the sinogram's radial weight
+``q^(2(t+1/2)) (1+q^2)^(s-t)`` is the field's, so the isometry ratio
+compares two quadratic forms with the same weights on the same nodes; it
+weighs the spectra of the slice checks (:mod:`tensorray.slices`), where
+the quarter turn of the field spectrum only multiplies ``(fhat_m)_l`` by
+``i^l``.
 """
 
 from __future__ import annotations
@@ -33,14 +44,18 @@ import numpy as np
 
 from .fields import TensorField2D, component_spectrum_polar, require_solenoidal
 from .grids import PolarFrequencyGrid, angular_coefficient_matrix
-from .ray import Sinogram, forward
-from .slices import tilde_coefficients, transform_sinogram
+from .ray import Sinogram
+from .slices import (
+    _FIELD_SIDE_CONSTANT,
+    _check_convention,
+    _slice_sides,
+    sinogram_transform_values,
+    tilde_coefficients,
+)
 
 __all__ = [
     "SobolevParams",
     "TruncationWarning",
-    "field_harmonics",
-    "sinogram_tilde_harmonics",
     "weighted_norm_sq",
     "sinogram_norm",
     "field_norm",
@@ -88,52 +103,17 @@ class SobolevParams:
             raise ValueError(f"field norm needs t > -1, got t = {self.t}")
 
 
-def field_harmonics(
-    f: TensorField2D,
-    nq: int = 512,
-    qmax: float | None = None,
-    ntheta: int = 128,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes and coefficients ``(fhat_m)_l(q_k)`` of the last component.
-
-    Returns ``(qs, coeffs)`` with ``coeffs[l + lmax, k]`` for
-    ``lmax = ntheta//2 - 1`` on the positive midpoint nodes.
-    """
-    if qmax is None:
-        qmax = f.grid.radius
-    pgrid = PolarFrequencyGrid(nq=nq, qmax=qmax, ntheta=ntheta)
-    values = component_spectrum_polar(f, f.m, pgrid)
-    coeffs = angular_coefficient_matrix(values, ntheta // 2 - 1).T
-    return pgrid.radial_nodes(), coeffs
-
-
-def sinogram_tilde_harmonics(
-    psi: Sinogram,
-    m: int | None = None,
-    convention: str = "lemma",
-    nq: int = 512,
-    qmax: float | None = None,
-    lmax: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric radial nodes and coefficients ``(tilde psi)hat_l(q_k)``."""
-    if m is None:
-        m = psi.m
-    spectral = transform_sinogram(psi, convention, nq=nq, qmax=qmax, lmax=lmax)
-    return np.asarray(spectral.qs), tilde_coefficients(spectral.coefficients, m)
-
-
 def weighted_norm_sq(
     qs: np.ndarray,
     coeffs: np.ndarray,
     params: SobolevParams,
     radial_exponent_offset: float,
-    prefactor: float,
     warn_context: str | None = None,
 ) -> float:
     """Weighted quadratic form shared by both norms.
 
-    ``sum_l (1+l^2)^r * sum_k dq * |q|^(2t + offset) (1+q^2)^(s-t) |c_lk|^2``
-    times ``prefactor``; ``offset`` is 0 for sinograms and 1 for fields.
+    ``(1/2pi) * sum_l (1+l^2)^r * sum_k dq * |q|^(2t + offset) (1+q^2)^(s-t) |c_lk|^2``;
+    ``offset`` is 0 for sinograms and 1 for fields.
     When ``warn_context`` is given, emits :class:`TruncationWarning` if the
     top-quarter harmonics or the outer 5% of radial nodes carry more than
     ``1e-6`` of the total weighted energy.
@@ -175,29 +155,27 @@ def weighted_norm_sq(
                 TruncationWarning,
                 stacklevel=3,
             )
-    return prefactor * total
+    return total / (2.0 * np.pi)
 
 
 def sinogram_norm(
     psi: Sinogram,
     params: SobolevParams,
-    m: int | None = None,
     convention: str = "lemma",
     nq: int = 512,
     qmax: float | None = None,
-    lmax: int | None = None,
 ) -> float:
     """Weighted Sobolev norm of a sinogram (see the module docstring).
 
-    ``m`` defaults to the sinogram's own rank and sets the ``sin^m(theta)``
-    factor applied before the transform.
+    Evaluated on ``nq`` positive midpoint nodes up to ``qmax``, which
+    defaults to ``pmax``.
     """
     params.require_sinogram_admissible()
-    qs, coeffs = sinogram_tilde_harmonics(psi, m, convention, nq=nq, qmax=qmax, lmax=lmax)
-    norm_sq = weighted_norm_sq(
-        qs, coeffs, params, radial_exponent_offset=0.0,
-        prefactor=1.0 / (4.0 * np.pi), warn_context="sinogram norm",
-    )
+    pgrid = PolarFrequencyGrid(nq=nq, qmax=psi.pmax if qmax is None else qmax, ntheta=psi.ntheta)
+    qs = pgrid.radial_nodes()
+    values = sinogram_transform_values(psi, convention, qs)
+    coeffs = tilde_coefficients(angular_coefficient_matrix(values, psi.ntheta // 2 - 1).T, psi.m)
+    norm_sq = weighted_norm_sq(qs, coeffs, params, 0.0, warn_context="sinogram norm")
     return float(np.sqrt(norm_sq))
 
 
@@ -216,11 +194,10 @@ def field_norm(
     """
     params.require_field_admissible()
     require_solenoidal(f)
-    qs, coeffs = field_harmonics(f, nq=nq, qmax=qmax, ntheta=ntheta)
-    norm_sq = weighted_norm_sq(
-        qs, coeffs, params, radial_exponent_offset=1.0,
-        prefactor=1.0 / (2.0 * np.pi), warn_context="field norm",
-    )
+    pgrid = PolarFrequencyGrid(nq=nq, qmax=f.grid.radius if qmax is None else qmax, ntheta=ntheta)
+    values = component_spectrum_polar(f, f.m, pgrid)
+    coeffs = angular_coefficient_matrix(values, ntheta // 2 - 1).T
+    norm_sq = weighted_norm_sq(pgrid.radial_nodes(), coeffs, params, 1.0, warn_context="field norm")
     return float(np.sqrt(norm_sq))
 
 
@@ -228,7 +205,7 @@ def reshetnyak_check(
     f: TensorField2D,
     params: SobolevParams,
     convention: str = "lemma",
-    num_p: int | None = None,
+    *,
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
@@ -242,8 +219,7 @@ def reshetnyak_check(
     fields that are not solenoidal.
     """
     return reshetnyak_ratios(
-        f, [params], convention,
-        num_p=num_p, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram,
+        f, [params], convention, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram,
     )[0]
 
 
@@ -251,7 +227,7 @@ def reshetnyak_ratios(
     f: TensorField2D,
     params_list: list[SobolevParams],
     convention: str = "lemma",
-    num_p: int | None = None,
+    *,
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
@@ -259,36 +235,28 @@ def reshetnyak_ratios(
 ) -> list[float]:
     """Isometry ratios for several parameter triples on one field.
 
-    The two spectral decompositions are computed once and reweighted per
-    triple, so sweeping parameters costs almost nothing beyond the first
-    ratio.  The isometry holds on solenoidal fields only, so fields with
-    relative divergence residual above ``1e-6`` are rejected.
+    Both norms weigh the spectra of the slice checks (one gate, one
+    projection unless ``sinogram`` is given, one p-transform and one field
+    spectrum), which are reweighted per triple, so sweeping parameters costs
+    almost nothing beyond the first ratio.  The isometry holds on solenoidal
+    fields only, so fields with relative divergence residual above ``1e-6``
+    are rejected, as are sinograms of another rank or ``ntheta``.
     """
+    _check_convention(convention)
     for params in params_list:
         params.require_field_admissible()
         params.shifted().require_sinogram_admissible()
-    require_solenoidal(f)
-    if num_p is None:
-        num_p = f.grid.n + 1
-    if qmax is None:
-        qmax = f.grid.radius
-
-    f_qs, f_coeffs = field_harmonics(f, nq=nq, qmax=qmax, ntheta=ntheta)
-    if sinogram is None:
-        sinogram = forward(f, num_p=num_p, ntheta=ntheta)
-    s_qs, s_coeffs = sinogram_tilde_harmonics(sinogram, f.m, convention, nq=nq, qmax=qmax)
+    sides = _slice_sides(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
+    f_coeffs = sides.field_coefficients(ntheta // 2 - 1)
+    s_coeffs = sides.sinogram_coefficients()
 
     ratios = []
     for params in params_list:
-        field_sq = weighted_norm_sq(
-            f_qs, f_coeffs, params, radial_exponent_offset=1.0,
-            prefactor=1.0 / (2.0 * np.pi), warn_context="field norm",
-        )
+        field_sq = weighted_norm_sq(sides.qs, f_coeffs, params, 1.0, warn_context="field norm")
         if field_sq == 0.0:
             raise ValueError("field norm vanishes; the isometry ratio is undefined")
         sino_sq = weighted_norm_sq(
-            s_qs, s_coeffs, params.shifted(), radial_exponent_offset=0.0,
-            prefactor=1.0 / (4.0 * np.pi), warn_context="sinogram norm",
+            sides.qs, s_coeffs, params.shifted(), 0.0, warn_context="sinogram norm"
         )
-        ratios.append(float(np.sqrt(sino_sq / field_sq)))
+        ratios.append(float(_FIELD_SIDE_CONSTANT[convention] * np.sqrt(sino_sq / field_sq)))
     return ratios

@@ -98,6 +98,13 @@ def _p_axis(pmax: float, num_p: int) -> np.ndarray:
     return 0.5 * (ps - ps[::-1])
 
 
+def _offset_weights(psi: Sinogram) -> np.ndarray:
+    """Trapezoid weights over ``psi.p_axis()``: the offset quadrature rule."""
+    w = np.full(psi.num_p, psi.dp)
+    w[[0, -1]] *= 0.5
+    return w
+
+
 def _worker_count() -> int:
     raw = os.environ.get(THREADS_ENV)
     if not raw:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fields import TensorField2D, component_spectrum_polar, require_solenoidal
 from .grids import PolarFrequencyGrid, angular_coefficient_matrix
-from .ray import Sinogram, forward
+from .ray import Sinogram, _offset_weights, forward
 
 __all__ = [
     "CONVENTIONS",
@@ -133,11 +133,7 @@ def sinogram_transform_values(psi: Sinogram, convention: str, qs: np.ndarray) ->
     """
     _check_convention(convention)
     qs = np.asarray(qs, dtype=float)
-    ps = psi.p_axis()
-    w = np.full(ps.size, psi.dp)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    kernel = np.exp(-1j * np.multiply.outer(qs, ps)) * w[None, :]
+    kernel = np.exp(-1j * np.multiply.outer(qs, psi.p_axis())) * _offset_weights(psi)[None, :]
     return _FT_PREFACTOR[convention] * (kernel @ psi.samples)
 
 
@@ -207,16 +203,18 @@ def sup_relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 
 class _SliceSides(NamedTuple):
-    """Both sides of the slice identities at the positive polar nodes.
+    """Both sides of the slice identities at the positive polar nodes ``qs``.
 
     ``psihat`` is the lemma-calculus p-transform of the sinogram and
     ``fhat`` the spectrum of the last field component turned a quarter turn,
     ``fhat_m(q_k, theta_j + pi/2)``; both have shape ``(nq, ntheta)``.  Each
-    residual compares the two in another basis.  Under ``fst`` both sides
-    carry ``sqrt(2*pi)``, so the residuals do not depend on the convention.
+    residual compares the two in another basis, and the isometry weighs
+    their angular coefficients.  Under ``fst`` both sides carry
+    ``sqrt(2*pi)``, so the residuals do not depend on the convention.
     """
 
     m: int
+    qs: np.ndarray
     psihat: np.ndarray
     fhat: np.ndarray
 
@@ -226,15 +224,22 @@ class _SliceSides(NamedTuple):
         thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
         return np.sin(thetas) ** self.m * self.psihat
 
+    def sinogram_coefficients(self) -> np.ndarray:
+        """``(tilde psihat)_l(q_k)`` for ``|l| <= ntheta//2 - 1 - m``."""
+        lmax = self.psihat.shape[1] // 2 - 1
+        return tilde_coefficients(angular_coefficient_matrix(self.psihat, lmax).T, self.m)
+
+    def field_coefficients(self, lmax: int) -> np.ndarray:
+        """Angular coefficients of ``fhat``: ``i^l (fhat_m)_l(q_k)`` for ``|l| <= lmax``."""
+        return angular_coefficient_matrix(self.fhat, lmax).T
+
     def solenoidal_residual(self) -> float:
         return sup_relative_residual(self.tilde(), self.fhat)
 
     def coefficient_residual(self) -> float:
         # the quarter turn of fhat carries the i^l of the coefficient identity
-        lmax = self.psihat.shape[1] // 2 - 1
-        lhs = tilde_coefficients(angular_coefficient_matrix(self.psihat, lmax).T, self.m)
-        rhs = angular_coefficient_matrix(self.fhat, lmax - self.m).T
-        return sup_relative_residual(lhs, rhs)
+        lhs = self.sinogram_coefficients()
+        return sup_relative_residual(lhs, self.field_coefficients((lhs.shape[0] - 1) // 2))
 
     def constant(self) -> float:
         """Least-squares ``c`` with ``tilde ~ c * fhat`` (lemma calculus)."""
@@ -246,27 +251,34 @@ class _SliceSides(NamedTuple):
 
 def _slice_sides(
     f: TensorField2D,
-    num_p: int | None = None,
+    *,
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
     sinogram: Sinogram | None = None,
 ) -> _SliceSides:
-    """Gate, project (unless ``sinogram`` is given) and transform once."""
+    """Gate, project (unless ``sinogram`` is given) and transform once.
+
+    The projection takes ``n + 1`` offsets over ``[-R, R]``.  A given
+    sinogram must have the field's rank and the requested ``ntheta``.
+    """
     require_solenoidal(f)
     pgrid = PolarFrequencyGrid(nq=nq, qmax=f.grid.radius if qmax is None else qmax, ntheta=ntheta)
     if sinogram is None:
-        sinogram = forward(f, num_p=f.grid.n + 1 if num_p is None else num_p, ntheta=ntheta)
+        sinogram = forward(f, num_p=f.grid.n + 1, ntheta=ntheta)
+    elif sinogram.m != f.m:
+        raise ValueError(f"provided sinogram has rank {sinogram.m} but the field has rank {f.m}")
     elif sinogram.ntheta != ntheta:
         raise ValueError("provided sinogram must match the requested ntheta")
-    psihat = sinogram_transform_values(sinogram, "lemma", pgrid.radial_nodes())
+    qs = pgrid.radial_nodes()
+    psihat = sinogram_transform_values(sinogram, "lemma", qs)
     fhat = component_spectrum_polar(f, f.m, pgrid, angle_offset=np.pi / 2.0)
-    return _SliceSides(f.m, psihat, fhat)
+    return _SliceSides(f.m, qs, psihat, fhat)
 
 
 def fst_scalar_residual(
     f: TensorField2D,
-    num_p: int | None = None,
+    *,
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
@@ -281,13 +293,14 @@ def fst_scalar_residual(
     """
     if f.m != 0:
         raise ValueError(f"the scalar slice identity needs m = 0, got m = {f.m}")
-    return _slice_sides(f, num_p, ntheta, nq, qmax, sinogram).solenoidal_residual()
+    sides = _slice_sides(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
+    return sides.solenoidal_residual()
 
 
 def fst_solenoidal_residual(
     f: TensorField2D,
     convention: str = "lemma",
-    num_p: int | None = None,
+    *,
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
@@ -301,13 +314,14 @@ def fst_solenoidal_residual(
     ``1e-6``).
     """
     _check_convention(convention)
-    return _slice_sides(f, num_p, ntheta, nq, qmax, sinogram).solenoidal_residual()
+    sides = _slice_sides(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
+    return sides.solenoidal_residual()
 
 
 def measure_slice_constant(
     f: TensorField2D,
     convention: str = "lemma",
-    num_p: int | None = None,
+    *,
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
@@ -320,14 +334,14 @@ def measure_slice_constant(
     the two calculi on actual data.
     """
     _check_convention(convention)
-    sides = _slice_sides(f, num_p, ntheta, nq, qmax, sinogram)
+    sides = _slice_sides(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
     return float(_FIELD_SIDE_CONSTANT[convention] * sides.constant())
 
 
 def fst_coefficient_residual(
     f: TensorField2D,
     convention: str = "lemma",
-    num_p: int | None = None,
+    *,
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
@@ -341,4 +355,5 @@ def fst_coefficient_residual(
     residual is the same).  Rejects non-solenoidal fields.
     """
     _check_convention(convention)
-    return _slice_sides(f, num_p, ntheta, nq, qmax, sinogram).coefficient_residual()
+    sides = _slice_sides(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
+    return sides.coefficient_residual()

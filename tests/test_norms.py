@@ -1,5 +1,8 @@
 """Weighted Sobolev norms and the isometry ratio."""
 
+import collections
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from tensorray import (
     Sinogram,
     SobolevParams,
     TensorField2D,
+    TruncationWarning,
     field_norm,
     forward,
     gaussian_test_field,
@@ -15,7 +19,8 @@ from tensorray import (
     reshetnyak_ratios,
     sinogram_norm,
 )
-from tensorray.norms import sinogram_tilde_harmonics, weighted_norm_sq
+from tensorray.norms import weighted_norm_sq
+from tensorray.slices import tilde_coefficients, transform_sinogram
 
 
 def gaussian_sinogram(num_p=257, ntheta=32, pmax=8.0):
@@ -170,6 +175,61 @@ class TestReshetnyak:
         ratios = reshetnyak_ratios(f, plist, "lemma", ntheta=64, sinogram=psi)
         assert max(abs(r - 1.0) for r in ratios) < 1e-3
 
+    def test_given_sinogram_computes_each_side_once(self, monkeypatch, grid64):
+        import tensorray.fields
+        import tensorray.norms
+        import tensorray.slices
+
+        calls = collections.Counter()
+        nodes = []
+
+        def count(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                if name == "sinogram_transform_values":
+                    nodes.append(len(args[2]))
+                return original(*args, **kwargs)
+
+            return counted
+
+        names = ("forward", "component_spectrum_polar", "sinogram_transform_values")
+        for module in (tensorray.slices, tensorray.norms):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, count(name, getattr(module, name)))
+        gate = "relative_divergence_residual"
+        monkeypatch.setattr(tensorray.fields, gate, count(gate, getattr(tensorray.fields, gate)))
+
+        f = gaussian_test_field(1, "solenoidal", grid64)
+        psi = forward(f, num_p=65, ntheta=16)
+        plist = [SobolevParams(0, 0, 0), SobolevParams(1, 0.5, -0.25)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            reshetnyak_ratios(f, plist, "fst", ntheta=16, nq=32, sinogram=psi)
+        assert calls == collections.Counter(
+            component_spectrum_polar=1, sinogram_transform_values=1,
+            relative_divergence_residual=1,
+        )
+        assert nodes == [32]  # the positive nodes only
+
+    @pytest.mark.parametrize("name", ["rank", "ntheta"])
+    def test_mismatched_sinogram_rejected(self, name, grid64):
+        f = gaussian_test_field(1, "solenoidal", grid64)
+        if name == "rank":
+            psi = forward(gaussian_test_field(2, "solenoidal", grid64), num_p=65, ntheta=16)
+        else:
+            psi = forward(f, num_p=65, ntheta=8)
+        with pytest.raises(ValueError, match=name):
+            reshetnyak_ratios(f, [SobolevParams(0, 0, 0)], ntheta=16, nq=32, sinogram=psi)
+        with pytest.raises(ValueError, match=name):
+            reshetnyak_check(f, SobolevParams(0, 0, 0), ntheta=16, nq=32, sinogram=psi)
+
+    def test_resolution_arguments_are_keyword_only(self, grid64):
+        # a positional offset count would otherwise be read as ntheta
+        f = gaussian_test_field(0, "generic", grid64)
+        with pytest.raises(TypeError):
+            reshetnyak_check(f, SobolevParams(0, 0, 0), "lemma", 65)
+
     @pytest.mark.parametrize(("m", "bound"), [(1, 1e-5), (3, 2e-5)])
     def test_isometry_for_any_real_r(self, m, bound, grid256):
         import itertools
@@ -227,26 +287,42 @@ class TestTruncationWarnings:
 
 
 class TestFactorOfTwoBookkeeping:
+    @staticmethod
+    def symmetric_quadrature(psi, params, nq, qmax):
+        """(1/2pi) sum over the 2*nq symmetric nodes covering [-qmax, qmax]."""
+        spectral = transform_sinogram(psi, "lemma", nq=nq, qmax=qmax)
+        coeffs = tilde_coefficients(spectral.coefficients, psi.m)
+        return weighted_norm_sq(spectral.qs, coeffs, params, 0.0)
+
     def test_full_line_integral_is_twice_positive_half(self, grid128):
-        # parity makes the weighted integrand even in q
+        # conjugate symmetry of the p-transform makes the weighted integrand
+        # even in q, so the positive half carries exactly half of it
         f = gaussian_test_field(1, "solenoidal", grid128)
         psi = forward(f, num_p=129, ntheta=64)
-        qs, coeffs = sinogram_tilde_harmonics(psi, 1, "lemma", nq=256, qmax=8.0)
-        params = SobolevParams(0.0, 0.5, 0.5)
-        full = weighted_norm_sq(qs, coeffs, params, 0.0, 1.0)
-        pos = qs > 0
-        half = weighted_norm_sq(qs[pos], coeffs[:, pos], params, 0.0, 1.0)
-        assert full == pytest.approx(2.0 * half, rel=1e-10)
+        for params in (SobolevParams(0.0, 0.5, 0.5), SobolevParams(1.5, 1.0, 0.0)):
+            full = self.symmetric_quadrature(psi, params, nq=256, qmax=8.0)
+            norm = sinogram_norm(psi, params, nq=256, qmax=8.0)
+            assert norm**2 == pytest.approx(0.5 * full, rel=1e-10)
+
+    def test_non_range_sinogram_norm_is_half_the_full_line(self):
+        # the symmetry needs a real sinogram only, not range data: random
+        # rank-2 samples with no parity and no decay in p
+        rng = np.random.default_rng(7)
+        psi = Sinogram(m=2, pmax=8.0, samples=rng.standard_normal((65, 32)))
+        params = SobolevParams(0.5, 0.5, 0.25)
+        full = self.symmetric_quadrature(psi, params, nq=128, qmax=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            norm = sinogram_norm(psi, params, nq=128, qmax=8.0)
+        assert norm**2 == pytest.approx(0.5 * full, rel=1e-10)
 
 
 class TestWeightedNormValidation:
     def test_single_radial_node_rejected(self):
         with pytest.raises(ValueError, match="at least 2 radial nodes"):
-            weighted_norm_sq(
-                np.array([0.5]), np.ones((3, 1)), SobolevParams(0.0, 0.5, 0.5), 0.0, 1.0
-            )
+            weighted_norm_sq(np.array([0.5]), np.ones((3, 1)), SobolevParams(0.0, 0.5, 0.5), 0.0)
 
     def test_coefficient_count_must_match_nodes(self):
         qs = np.linspace(0.1, 4.0, 8)
         with pytest.raises(ValueError, match="match the radial nodes"):
-            weighted_norm_sq(qs, np.ones((3, 7)), SobolevParams(0.0, 0.5, 0.5), 0.0, 1.0)
+            weighted_norm_sq(qs, np.ones((3, 7)), SobolevParams(0.0, 0.5, 0.5), 0.0)

@@ -188,6 +188,25 @@ class TestSliceResiduals:
         with pytest.raises(ValueError, match="solenoidal_project"):
             fst_solenoidal_residual(f)
 
+    @pytest.mark.parametrize("name", ["rank", "ntheta"])
+    def test_mismatched_sinogram_rejected(self, name, grid64):
+        f = gaussian_test_field(1, "solenoidal", grid64)
+        if name == "rank":
+            psi = forward(gaussian_test_field(2, "solenoidal", grid64), num_p=65, ntheta=16)
+        else:
+            psi = forward(f, num_p=65, ntheta=8)
+        for check in (fst_solenoidal_residual, fst_coefficient_residual, measure_slice_constant):
+            with pytest.raises(ValueError, match=name):
+                check(f, "lemma", ntheta=16, nq=32, sinogram=psi)
+
+    def test_resolution_arguments_are_keyword_only(self, grid64):
+        # a positional offset count would otherwise be read as ntheta
+        f = gaussian_test_field(1, "solenoidal", grid64)
+        with pytest.raises(TypeError):
+            fst_solenoidal_residual(f, "lemma", 65)
+        with pytest.raises(TypeError):
+            fst_scalar_residual(gaussian_test_field(0, "generic", grid64), 65)
+
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_coefficient_residual_lemma(self, m, grid128):
         f = gaussian_test_field(m, "solenoidal", grid128)
