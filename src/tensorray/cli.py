@@ -10,8 +10,7 @@ Subcommands
 
 Exit codes: 0 success / check passed, 1 check failed (tolerance exceeded),
 2 validation error, 3 I/O or container-format error.  JSON reports include
-the effective configuration; set ``TENSORRAY_THREADS`` to parallelize the
-forward projector.
+the effective configuration.
 """
 
 from __future__ import annotations
@@ -46,6 +45,14 @@ CHECK_NQ = 512
 
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
+
+
+def _tolerance(text: str) -> float:
+    """Argparse type of every ``--tol``: a positive, finite float."""
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _expected_ratio(convention: str) -> float:
@@ -199,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tensorray",
         description="Ray transform of 2D symmetric tensor fields: generation, "
         "forward projection, norm/isometry checks, inversion, moment conditions.",
-        epilog="Set TENSORRAY_THREADS to parallelize the forward projector.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -232,28 +238,28 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("input", help="tf2d field file")
     _add_params(res)
     _add_convention(res)
-    res.add_argument("--tol", type=float, default=1e-2,
+    res.add_argument("--tol", type=_tolerance, default=1e-2,
                      help="relative tolerance on the ratio (default: %(default)s)")
     res.set_defaults(handler=_cmd_check_reshetnyak)
 
     slc = chk_sub.add_parser("slice", help="slice-identity residuals")
     slc.add_argument("input", help="tf2d field file")
     _add_convention(slc, default="fst")
-    slc.add_argument("--tol", type=float, default=1e-3)
+    slc.add_argument("--tol", type=_tolerance, default=1e-3)
     slc.set_defaults(handler=_cmd_check_slice)
 
     inv = chk_sub.add_parser("invert", help="forward/inverse round trip report")
     inv.add_argument("input", help="tf2d field file")
     _add_params(inv)
     _add_convention(inv)
-    inv.add_argument("--tol", type=float, default=2e-2,
+    inv.add_argument("--tol", type=_tolerance, default=2e-2,
                      help="round-trip relative L2 bound (default: %(default)s)")
     inv.set_defaults(handler=_cmd_check_invert)
 
     mom = chk_sub.add_parser("moments", help="moment conditions on a sinogram")
     mom.add_argument("input", help="sino2d file")
     mom.add_argument("--rmax", type=int, default=4)
-    mom.add_argument("--tol", type=float, default=1e-5)
+    mom.add_argument("--tol", type=_tolerance, default=1e-5)
     mom.set_defaults(handler=_cmd_check_moments)
 
     csv = sub.add_parser("export-csv", help="convert a container file to CSV")

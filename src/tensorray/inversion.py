@@ -116,8 +116,8 @@ def check_moment_conditions(psi: Sinogram, rmax: int, tol: float = 1e-5) -> Mome
     """
     if rmax < 0:
         raise ValueError(f"rmax must be >= 0, got {rmax}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     ps = psi.p_axis()
     w = _offset_weights(psi)
     lmax = psi.ntheta // 2 - 1

@@ -19,17 +19,19 @@ so each angle collapses the coefficients once into one row per column and
 every line sample is a 4-tap 1D spline evaluation across it.  Only columns
 inside the grid are built and samples off the grid are never evaluated.
 
-The axis and the columns are chosen from ``theta mod pi`` and the offsets
-are exactly antisymmetric, so the lines ``(p, theta)`` and
-``(-p, theta + pi)`` are sampled at the same points and forward outputs
-satisfy ``psi(-p, theta + pi) = (-1)^m psi(p, theta)`` exactly;
-:func:`parity_residual` measures the violation for arbitrary sinograms.
+Only the first half turn ``theta < pi`` is projected.  The line
+``(-p, theta + pi)`` is ``(p, theta)`` walked backwards, so every ray
+transform satisfies ``psi(-p, theta + pi) = (-1)^m psi(p, theta)``, and the
+second half turn is the first mirrored in ``p`` (the offsets are exactly
+antisymmetric) times ``(-1)^m``.  Forward outputs satisfy the parity by
+construction; :func:`parity_residual` measures the violation for arbitrary
+sinograms.  The quadrature itself is checked by its own oracles: the
+Gaussian anchors, convergence in ``t_step`` and the 2D-spline sampling of
+every angle from that angle's geometry.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -39,8 +41,6 @@ from scipy import ndimage
 from .fields import TensorField2D
 
 __all__ = ["Sinogram", "forward", "parity_residual"]
-
-THREADS_ENV = "TENSORRAY_THREADS"
 
 
 @dataclass(frozen=True)
@@ -105,19 +105,6 @@ def _offset_weights(psi: Sinogram) -> np.ndarray:
     return w
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return count
-
-
 def _cubic_taps(frac: np.ndarray) -> np.ndarray:
     """Cubic B-spline weights of the taps ``floor - 1 .. floor + 2``.
 
@@ -153,20 +140,22 @@ def forward(
         Offset and angle sample counts (``ntheta`` even).
     pmax : float, optional
         Offset range bound.  Defaults to the grid radius; values below it are
-        rejected because such lines would be truncated inside the support.
+        rejected because such lines would be truncated inside the support,
+        and so are non-finite values.
     t_step : float, optional
         Quadrature step along every line, in ``(0, h]``; defaults to half the
         grid spacing ``h``.  The sampling columns are ``t_step`` times the
         larger of ``|cos theta|`` and ``|sin theta|`` apart.
 
-    The transform is linear in ``f`` and each ``(p_i, theta_j)`` integral is
-    independent; set the ``TENSORRAY_THREADS`` environment variable to a
-    positive integer to evaluate angles in a thread pool (results are
-    identical).  Any other value raises :class:`ValueError`.
+    The ``ntheta // 2`` angles below ``pi`` are projected; the rest are
+    their mirror ``(-1)^m psi(-p, theta)``, so the output satisfies the
+    parity exactly.  Every argument is validated before any projection.
     """
     grid = f.grid
     if pmax is None:
         pmax = grid.radius
+    if not np.isfinite(pmax):
+        raise ValueError(f"pmax must be finite, got {pmax}")
     if pmax < grid.radius:
         raise ValueError(
             f"pmax={pmax} is smaller than the grid radius {grid.radius}; "
@@ -177,13 +166,10 @@ def forward(
     if ntheta < 2 or ntheta % 2 != 0:
         raise ValueError(f"ntheta must be even and >= 2, got {ntheta}")
     dt = grid.spacing / 2.0 if t_step is None else float(t_step)
-    if dt <= 0 or dt > grid.spacing:
+    if not 0.0 < dt <= grid.spacing:
         raise ValueError(f"t_step must lie in (0, grid spacing], got {dt}")
-    workers = _worker_count()
 
     ps = _p_axis(pmax, num_p)
-    thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    half_turn = ntheta // 2
 
     h = grid.spacing
     radius = grid.radius
@@ -200,18 +186,15 @@ def forward(
     powers = np.arange(f.m + 1)
     weights = np.array([comb(f.m, j) for j in range(f.m + 1)], dtype=float)
 
-    def project_angle(j: int) -> np.ndarray:
-        # theta + pi reuses theta's geometry with xi and p negated
-        base = thetas[j % half_turn]
-        sign = -1.0 if j >= half_turn else 1.0
-        c, s = np.cos(base), np.sin(base)
-        trig = sign**f.m * weights * c ** (f.m - powers) * s**powers
+    def project_angle(theta: float) -> np.ndarray:
+        c, s = np.cos(theta), np.sin(theta)
+        trig = weights * c ** (f.m - powers) * s**powers
         # walking x, the line meets column x_k at y = p/c + x_k s/c; walking
         # y, at x = -p/s + y_k c/s
         if abs(c) >= abs(s):
-            along, across, offsets, padded = c, s, sign * ps, walking_x
+            along, across, offsets, padded = c, s, ps, walking_x
         else:
-            along, across, offsets, padded = s, c, -sign * ps, walking_y
+            along, across, offsets, padded = s, c, -ps, walking_y
         plane = np.tensordot(trig, padded, axes=(0, 0))
         dx = dt * abs(along)
         ks = np.arange(np.ceil(-radius / dx), np.floor((radius - h) / dx) + 1.0)
@@ -243,13 +226,12 @@ def forward(
         )
         return dt * vals.reshape(num_p, ncol).sum(axis=1)
 
-    columns: list[np.ndarray]
-    if workers == 1:
-        columns = [project_angle(j) for j in range(ntheta)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(project_angle, range(ntheta)))
-    samples = np.stack(columns, axis=1)
+    thetas = 2.0 * np.pi * np.arange(ntheta // 2) / ntheta
+    first = np.stack([project_angle(theta) for theta in thetas], axis=1)
+    # psi(-p, theta + pi) = (-1)^m psi(p, theta), and ps[::-1] == -ps exactly;
+    # 0.0 - x rather than -x keeps the zeros unsigned, as projecting gives them
+    mirror = first[::-1] if f.m % 2 == 0 else 0.0 - first[::-1]
+    samples = np.concatenate([first, mirror], axis=1)
     return Sinogram(m=f.m, pmax=pmax, samples=samples)
 
 
@@ -257,8 +239,9 @@ def parity_residual(psi: Sinogram) -> float:
     """Largest violation of ``psi(-p, theta+pi) = (-1)^m psi(p, theta)``.
 
     Normalized by ``max |psi|``; zero sinograms return 0.  Forward outputs
-    satisfy the identity exactly: the flipped line is sampled at the same
-    points and only the sign ``(-1)^m`` of the contracted field changes.
+    satisfy the identity by construction (their second half turn is the
+    first one mirrored), so on them this returns 0; it measures sinograms
+    read from files or built by other means.
     """
     samples = psi.samples
     scale = np.abs(samples).max()

@@ -99,13 +99,6 @@ class TestForward:
                            "--pmax", "2", "-o", str(tmp_path / "x.sino2d"))
         assert code == 2
 
-    def test_invalid_thread_count_exit_code(self, capsys, scalar_field_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("TENSORRAY_THREADS", "abc")
-        code, _, err = run(capsys, "forward", str(scalar_field_file),
-                           "-o", str(tmp_path / "x.sino2d"))
-        assert code == 2
-        assert "TENSORRAY_THREADS" in err
-
     def test_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "forward", str(tmp_path / "nope.tf2d"),
                            "-o", str(tmp_path / "x.sino2d"))
@@ -228,6 +221,14 @@ class TestCheck:
         report = json.loads(out)
         assert report["degenerate"] is True
         assert report["pass"] is True
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    @pytest.mark.parametrize("command", ["moments", "slice", "reshetnyak", "invert"])
+    def test_invalid_tol_exit_code(self, capsys, command, value, field_file, sino_file):
+        path = sino_file if command == "moments" else field_file
+        code, _, err = run(capsys, "check", command, str(path), "--tol", value)
+        assert code == 2
+        assert "--tol" in err
 
     def test_moments_pass(self, capsys, sino_file):
         code, out, _ = run(capsys, "check", "moments", str(sino_file),

@@ -67,6 +67,12 @@ class TestMomentConditions:
         with pytest.raises(ValueError, match="order 0"):
             check_moment_conditions(psi, rmax=2)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_invalid_tol_rejected(self, tol):
+        psi = Sinogram(m=1, pmax=4.0, samples=np.zeros((33, 16)))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            check_moment_conditions(psi, rmax=0, tol=tol)
+
     def test_report_dict_shape(self, grid64):
         psi = forward(gaussian_test_field(0, "generic", grid64), num_p=65, ntheta=16)
         report = check_moment_conditions(psi, rmax=2, tol=1e-5)
