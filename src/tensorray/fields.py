@@ -434,9 +434,13 @@ def component_spectrum_polar(
     spectrum near 1e-7 of its peak, far below the slice-identity tolerances
     used downstream.  The spectrum must decay well inside the padded dual
     grid, whose half-width is the Nyquist frequency of the field grid.
+
+    Components are real, so ``fhat_j(q, phi + pi) = conj(fhat_j(q, phi))``:
+    only the first ``ntheta // 2`` angles (``ntheta`` is even) are sampled
+    and the second half turn is their conjugate.
     """
     big, big_grid = pad_samples(f.component(j), f.grid, oversample)
     spec = fourier_transform_2d(big, big_grid)
-    return polar_sample(
-        spec, big_grid.dual(), pgrid.radial_nodes(), pgrid.angular_nodes() + angle_offset
-    )
+    phis = pgrid.angular_nodes()[: pgrid.ntheta // 2] + angle_offset
+    first = polar_sample(spec, big_grid.dual(), pgrid.radial_nodes(), phis)
+    return np.concatenate([first, first.conj()], axis=1)

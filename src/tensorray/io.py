@@ -65,14 +65,28 @@ def _read_container(path: str | Path) -> tuple[dict, np.ndarray, int]:
             raise FileFormatError(f"malformed JSON header: {exc}", int(offset)) from exc
         if not isinstance(header, dict):
             raise FileFormatError("header must be a JSON object", 0)
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    return header, payload, len(line)
+        data = fh.read()
+    whole = len(data) - len(data) % 8
+    if whole != len(data):
+        raise FileFormatError(
+            f"payload of {len(data)} bytes is not a whole number of float64 values",
+            len(line) + whole,
+        )
+    return header, np.frombuffer(data, dtype="<f8"), len(line)
 
 
 def _require(header: dict, key: str, offset_hint: int):
     if key not in header:
         raise FileFormatError(f"header is missing required key {key!r}", offset_hint)
     return header[key]
+
+
+def _require_int(header: dict, key: str) -> int:
+    """A header count: a JSON integer, never a bool, float or string."""
+    value = _require(header, key, 0)
+    if type(value) is not int:
+        raise FileFormatError(f"header key {key!r} must be a JSON integer, got {value!r}", 0)
+    return value
 
 
 def write_field(path: str | Path, field: TensorField2D) -> None:
@@ -94,8 +108,8 @@ def read_field(path: str | Path) -> TensorField2D:
         raise FileFormatError(f"expected format 'tf2d', got {header.get('format')!r}", 0)
     if _require(header, "version", 0) != 1:
         raise FileFormatError(f"unsupported tf2d version {header.get('version')!r}", 0)
-    m = int(_require(header, "m", 0))
-    n = int(_require(header, "n", 0))
+    m = _require_int(header, "m")
+    n = _require_int(header, "n")
     radius = float(_require(header, "radius", 0))
     expected = (m + 1) * n * n
     if payload.size != expected:
@@ -127,9 +141,9 @@ def read_sinogram(path: str | Path) -> Sinogram:
         raise FileFormatError(f"expected format 'sino2d', got {header.get('format')!r}", 0)
     if _require(header, "version", 0) != 1:
         raise FileFormatError(f"unsupported sino2d version {header.get('version')!r}", 0)
-    m = int(_require(header, "m", 0))
-    num_p = int(_require(header, "np", 0))
-    ntheta = int(_require(header, "ntheta", 0))
+    m = _require_int(header, "m")
+    num_p = _require_int(header, "np")
+    ntheta = _require_int(header, "ntheta")
     pmax = float(_require(header, "pmax", 0))
     expected = num_p * ntheta
     if payload.size != expected:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import TensorField2D, component_spectrum_polar, require_solenoidal
-from .grids import PolarFrequencyGrid, angular_coefficient_matrix
+from .grids import PolarFrequencyGrid, _check_finite, angular_coefficient_matrix
 from .ray import Sinogram, _offset_weights, forward
 
 __all__ = [
@@ -129,12 +129,27 @@ def sinogram_transform_values(psi: Sinogram, convention: str, qs: np.ndarray) ->
     """p-transform of a sinogram at arbitrary frequency nodes.
 
     Trapezoid quadrature over the symmetric offset grid; returns values of
-    shape ``(len(qs), ntheta)``.
+    shape ``(len(qs), ntheta)``.  The offsets are exactly antisymmetric and
+    the weights symmetric, so each column is folded onto ``p > 0``: its
+    even part ``psi(p) + psi(-p)`` meets ``cos(q p)`` and its odd part
+    ``psi(p) - psi(-p)`` meets ``-sin(q p)``, two real products of half
+    the length, with the ``p = 0`` row (odd ``num_p``) added once.  This
+    holds for any sinogram, range data or not.
     """
     _check_convention(convention)
     qs = np.asarray(qs, dtype=float)
-    kernel = np.exp(-1j * np.multiply.outer(qs, psi.p_axis())) * _offset_weights(psi)[None, :]
-    return _FT_PREFACTOR[convention] * (kernel @ psi.samples)
+    _check_finite(qs, "frequency nodes qs")
+    half = psi.num_p // 2
+    rest = psi.num_p - half  # first index with p > 0
+    weights = _FT_PREFACTOR[convention] * _offset_weights(psi)
+    phase = np.multiply.outer(qs, psi.p_axis()[rest:])
+    positive, negative = psi.samples[rest:], psi.samples[half - 1 :: -1]
+    out = np.empty(qs.shape + (psi.ntheta,), dtype=complex)
+    out.real = (np.cos(phase) * weights[rest:]) @ (positive + negative)
+    out.imag = (np.sin(phase) * -weights[rest:]) @ (positive - negative)
+    if rest > half:
+        out.real += weights[half] * psi.samples[half]
+    return out
 
 
 def transform_sinogram(

@@ -264,6 +264,21 @@ class TestExportCsv:
         assert code == 3
 
 
+    @pytest.mark.parametrize("damage", ["ragged-payload", "float-rank"])
+    def test_malformed_container_exit_code(self, capsys, tmp_path, field_file, damage):
+        data = field_file.read_bytes()
+        if damage == "ragged-payload":
+            data = data[:-5]
+        else:
+            head, payload = data.split(b"\n", 1)
+            data = head.replace(b'"m": 1', b'"m": 1.9') + b"\n" + payload
+        path = tmp_path / "bad.tf2d"
+        path.write_bytes(data)
+        code, _, err = run(capsys, "export-csv", str(path), str(tmp_path / "o.csv"))
+        assert code == 3
+        assert "byte offset" in err
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -172,6 +172,22 @@ class TestPolarResample:
         with pytest.raises(ValueError, match="Nyquist|usable"):
             polar_sample(gaussian(grid64), grid64, np.array([1.0, 8.5]), np.zeros(8))
 
+    @pytest.mark.parametrize(
+        "qs, phis, match",
+        [
+            ([-60.0], [0.0], "exceeds the grid extent"),
+            ([-8.5, 1.0], [0.0, 1.0], "exceeds the grid extent"),
+            ([np.nan], [0.0], "non-finite"),
+            ([np.inf], [0.0], "non-finite"),
+            ([1.0], [np.inf], "non-finite"),
+            ([1.0], [0.0, np.nan], "non-finite"),
+        ],
+        ids=["far-negative-q", "negative-q-beyond", "nan-q", "inf-q", "inf-phi", "nan-phi"],
+    )
+    def test_invalid_nodes_rejected(self, grid64, qs, phis, match):
+        with pytest.raises(ValueError, match=match):
+            polar_sample(gaussian(grid64), grid64, np.array(qs), np.array(phis))
+
     def test_polar_sample_angle_offset_consistency(self, grid64):
         spec = gaussian(grid64)
         qs = np.array([1.0, 2.0])

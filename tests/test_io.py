@@ -73,6 +73,28 @@ class TestFieldContainer:
             read_field(path)
 
 
+    def test_ragged_payload_reports_offset(self, tmp_path, grid64):
+        f = gaussian_test_field(0, "generic", grid64)
+        path = tmp_path / "f.tf2d"
+        write_field(path, f)
+        data = path.read_bytes()
+        path.write_bytes(data[:-3])
+        header_len = data.index(b"\n") + 1
+        whole = 8 * (64 * 64 - 1)
+        with pytest.raises(FileFormatError, match="whole number") as info:
+            read_field(path)
+        assert info.value.offset == header_len + whole
+
+    @pytest.mark.parametrize("key", ["m", "n"])
+    @pytest.mark.parametrize("value", [1.9, True, "16", None], ids=["float", "bool", "str", "null"])
+    def test_integer_keys_must_be_json_integers(self, tmp_path, key, value):
+        header = {"format": "tf2d", "version": 1, "m": 0, "n": 16, "radius": 1.0, key: value}
+        path = tmp_path / "f.tf2d"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * 16 * 16))
+        with pytest.raises(FileFormatError, match=f"'{key}' must be a JSON integer"):
+            read_field(path)
+
+
 class TestSinogramContainer:
     def test_roundtrip_bit_exact(self, tmp_path, grid64):
         psi = forward(gaussian_test_field(1, "generic", grid64), num_p=33, ntheta=16)
@@ -81,6 +103,25 @@ class TestSinogramContainer:
         back = read_sinogram(path)
         assert back.m == psi.m and back.pmax == psi.pmax
         assert np.array_equal(back.samples, psi.samples)
+
+
+    def test_ragged_payload_reports_offset(self, tmp_path, grid64):
+        psi = forward(gaussian_test_field(0, "generic", grid64), num_p=17, ntheta=8)
+        path = tmp_path / "psi.sino2d"
+        write_sinogram(path, psi)
+        path.write_bytes(path.read_bytes() + b"\x00\x01")
+        with pytest.raises(FileFormatError, match="whole number"):
+            read_sinogram(path)
+
+    @pytest.mark.parametrize("key", ["m", "np", "ntheta"])
+    @pytest.mark.parametrize("value", [4.0, False, "4"], ids=["float", "bool", "str"])
+    def test_integer_keys_must_be_json_integers(self, tmp_path, key, value):
+        header = {"format": "sino2d", "version": 1, "m": 0, "np": 4, "ntheta": 4,
+                  "pmax": 1.0, key: value}
+        path = tmp_path / "psi.sino2d"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * 16))
+        with pytest.raises(FileFormatError, match=f"'{key}' must be a JSON integer"):
+            read_sinogram(path)
 
 
 class TestCsvExport:

@@ -65,6 +65,11 @@ class TestTransformSinogram:
         with pytest.raises(ValueError, match="convention"):
             transform_sinogram(gaussian_sinogram(), "unitary")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_nodes_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            transform_sinogram(gaussian_sinogram(), "lemma", qs=np.array([0.5, bad]))
+
     def test_coefficient_parity_for_range_data(self, grid128):
         for m in (0, 1, 2):
             f = gaussian_test_field(m, "generic", grid128)
