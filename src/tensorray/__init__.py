@@ -57,15 +57,12 @@ from .norms import (
 from .ray import Sinogram, forward, parity_residual
 from .slices import (
     CONVENTIONS,
-    SpectralSinogram,
     fst_coefficient_residual,
     fst_scalar_residual,
     fst_solenoidal_residual,
     measure_slice_constant,
     sup_relative_residual,
-    symmetric_q_nodes,
     tilde_coefficients,
-    transform_sinogram,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +77,6 @@ __all__ = [
     "RangeDataWarning",
     "Sinogram",
     "SobolevParams",
-    "SpectralSinogram",
     "TensorField2D",
     "TruncationWarning",
     "check_moment_conditions",
@@ -113,12 +109,10 @@ __all__ = [
     "sinogram_norm",
     "solenoidal_project",
     "sup_relative_residual",
-    "symmetric_q_nodes",
     "symmetrized_gradient",
     "synthesize_solenoidal",
     "tensor_weights",
     "tilde_coefficients",
-    "transform_sinogram",
     "write_field",
     "write_sinogram",
 ]

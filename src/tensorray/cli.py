@@ -31,7 +31,7 @@ from .inversion import check_moment_conditions, roundtrip_report
 from .io import FileFormatError, export_csv, read_field, read_sinogram, write_field, write_sinogram
 from .norms import SobolevParams, reshetnyak_check
 from .ray import forward, parity_residual
-from .slices import CONVENTIONS, _slice_sides
+from .slices import _FIELD_SIDE_CONSTANT, CONVENTIONS, _slice_sides
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,10 +53,6 @@ def _tolerance(text: str) -> float:
     if not 0.0 < value < np.inf:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value
-
-
-def _expected_ratio(convention: str) -> float:
-    return 1.0 if convention == "lemma" else float(np.sqrt(2.0 * np.pi))
 
 
 def _cmd_generate(args) -> int:
@@ -118,7 +114,7 @@ def _cmd_check_reshetnyak(args) -> int:
     params = SobolevParams(args.r, args.s, args.t)
     ratio = reshetnyak_check(field, params, args.convention,
                              ntheta=CHECK_NTHETA, nq=CHECK_NQ)
-    expected = _expected_ratio(args.convention)
+    expected = _FIELD_SIDE_CONSTANT[args.convention]
     passed = abs(ratio - expected) <= args.tol * expected
     _emit({
         "check": "reshetnyak",
@@ -161,7 +157,7 @@ def _cmd_check_invert(args) -> int:
         _emit({"check": "invert", **report, "pass": True,
                "config": _check_config(args, field=field)})
         return EXIT_OK
-    expected = _expected_ratio(args.convention)
+    expected = _FIELD_SIDE_CONSTANT[args.convention]
     passed = (
         report["roundtrip_l2_rel"] < args.tol
         and abs(report["reshetnyak_ratio"] - expected) <= 1e-2 * expected

@@ -56,6 +56,9 @@ _IMAG_TOL = 1e-6
 # Relative divergence residual above which a field counts as not solenoidal.
 _SOLENOIDAL_TOL = 1e-6
 
+# Angular harmonics |l| <= this in the amplitude of random_solenoidal_field.
+_RANDOM_MAX_HARMONIC = 3
+
 
 @dataclass(frozen=True)
 class TensorField2D:
@@ -179,7 +182,10 @@ def solenoidal_project(f: TensorField2D) -> TensorField2D:
     At every nonzero frequency the spectrum is replaced by its component
     along the unit tensor ``eta^(tensor m)``; the zero-frequency value is
     kept unchanged (the direction ``eta`` is undefined there and the single
-    bin carries no weight in the norms used downstream).  The map is linear,
+    bin carries no weight in the norms used downstream).  The Nyquist row
+    and column are zeroed: there ``y`` and ``-y`` share one bin, so the
+    projected spectrum of a real field would not be Hermitian and taking its
+    real part would undo part of the projection.  The map is linear,
     idempotent, and non-expanding in the weighted grid L2 norm.
     """
     if f.m == 0:
@@ -194,6 +200,9 @@ def solenoidal_project(f: TensorField2D) -> TensorField2D:
         spec *= weight
         spec *= mono[j]
         inner += spec
+    nyquist = f.grid.n // 2  # fft order
+    inner[nyquist, :] = 0.0
+    inner[:, nyquist] = 0.0
     comps = np.empty_like(f.components)
     for j in range(f.m + 1):
         spec = inner * mono[j]
@@ -291,6 +300,17 @@ def symmetrized_gradient(v: TensorField2D) -> TensorField2D:
     return TensorField2D(m=m, grid=v.grid, components=comps)
 
 
+def _check_width(width: float, grid: CartesianGrid) -> None:
+    """A generator's Gaussian width: positive, finite and at most ``radius / 6``."""
+    if not 0.0 < width < np.inf:
+        raise ValueError(f"width must be positive and finite, got {width}")
+    if grid.radius < 6.0 * width:
+        raise ValueError(
+            f"grid radius {grid.radius} is below 6 x width = {6.0 * width}; "
+            "samples would not decay at the boundary"
+        )
+
+
 def gaussian_test_field(m: int, kind: str, grid: CartesianGrid, width: float = 1.0) -> TensorField2D:
     """Deterministic Gaussian-decay test field of the requested kind.
 
@@ -311,13 +331,7 @@ def gaussian_test_field(m: int, kind: str, grid: CartesianGrid, width: float = 1
     """
     if m < 0:
         raise ValueError(f"tensor rank must be >= 0, got {m}")
-    if width <= 0 or not np.isfinite(width):
-        raise ValueError(f"width must be positive, got {width}")
-    if grid.radius < 6.0 * width:
-        raise ValueError(
-            f"grid radius {grid.radius} is below 6 x width = {6.0 * width}; "
-            "samples would not decay at the boundary"
-        )
+    _check_width(width, grid)
     if kind not in ("solenoidal", "potential", "generic"):
         raise ValueError(f"unknown kind {kind!r}")
 
@@ -380,24 +394,18 @@ def random_solenoidal_field(
     grid: CartesianGrid,
     seed: int,
     width: float = 1.0,
-    max_harmonic: int = 3,
 ) -> TensorField2D:
     """Seeded random solenoidal field with a few angular harmonics.
 
     The amplitude is ``sum_l c_l (q w)^(m+|l|) exp(-(q w)^2 / 2) e^{i l phi}``
-    over ``|l| <= max_harmonic``, with the coefficients drawn from ``seed``
-    and paired so the field is real.  The ``q^(m+|l|)`` factors keep every
-    spectrum component smooth at the origin, hence the field rapidly
-    decaying.
+    over ``|l| <= 3``, with the coefficients drawn from ``seed`` and paired
+    so the field is real.  The ``q^(m+|l|)`` factors keep every spectrum
+    component smooth at the origin, hence the field rapidly decaying.
     """
-    if grid.radius < 6.0 * width:
-        raise ValueError(
-            f"grid radius {grid.radius} is below 6 x width = {6.0 * width}; "
-            "samples would not decay at the boundary"
-        )
+    _check_width(width, grid)
     rng = np.random.default_rng(seed)
     coeffs: dict[int, complex] = {}
-    for l in range(max_harmonic + 1):
+    for l in range(_RANDOM_MAX_HARMONIC + 1):
         c = complex(rng.standard_normal(), rng.standard_normal())
         if l == 0:
             # realness pairs l with -l; the l = 0 coefficient pairs with itself

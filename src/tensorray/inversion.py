@@ -40,7 +40,7 @@ from .fields import (
 from .grids import CartesianGrid, angular_coefficient_matrix, inverse_fourier_transform_2d
 from .norms import SobolevParams, reshetnyak_check
 from .ray import Sinogram, _offset_weights, forward, parity_residual
-from .slices import _check_convention, sinogram_transform_values, tilde_coefficients
+from .slices import _check_convention, _tilde_table, sinogram_transform_values
 
 __all__ = [
     "MomentOrder",
@@ -171,7 +171,6 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     ``e^{i l (phi - pi/2)}``.  The ``y = 0`` point keeps only ``l = 0``.
     Work runs in blocks of radii, so memory stays at one block's worth.
     """
-    lmax = psi.ntheta // 2 - 1
     dual = grid.dual()
     half = grid.n // 2
     k = np.arange(grid.n) - half
@@ -187,8 +186,7 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     starts = np.searchsorted(radius_index, bounds)
     out = np.zeros(grid.n * grid.n, dtype=complex)
     for b0, b1, first, last in zip(bounds[:-1], bounds[1:], starts[:-1], starts[1:]):
-        values = sinogram_transform_values(psi, "lemma", radii[b0:b1])
-        coeffs = tilde_coefficients(angular_coefficient_matrix(values, lmax).T, power)
+        coeffs = _tilde_table(sinogram_transform_values(psi, radii[b0:b1]), power)
         lm = (coeffs.shape[0] - 1) // 2
         coeffs *= (-1.0j) ** np.arange(-lm, lm + 1)[:, None]
         points = order[first:last]

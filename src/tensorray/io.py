@@ -89,6 +89,14 @@ def _require_int(header: dict, key: str) -> int:
     return value
 
 
+def _require_number(header: dict, key: str) -> float:
+    """A header length: a JSON number, never a bool or string."""
+    value = _require(header, key, 0)
+    if type(value) not in (int, float):
+        raise FileFormatError(f"header key {key!r} must be a JSON number, got {value!r}", 0)
+    return float(value)
+
+
 def write_field(path: str | Path, field: TensorField2D) -> None:
     header = {
         "format": "tf2d",
@@ -110,7 +118,7 @@ def read_field(path: str | Path) -> TensorField2D:
         raise FileFormatError(f"unsupported tf2d version {header.get('version')!r}", 0)
     m = _require_int(header, "m")
     n = _require_int(header, "n")
-    radius = float(_require(header, "radius", 0))
+    radius = _require_number(header, "radius")
     expected = (m + 1) * n * n
     if payload.size != expected:
         raise FileFormatError(
@@ -144,7 +152,7 @@ def read_sinogram(path: str | Path) -> Sinogram:
     m = _require_int(header, "m")
     num_p = _require_int(header, "np")
     ntheta = _require_int(header, "ntheta")
-    pmax = float(_require(header, "pmax", 0))
+    pmax = _require_number(header, "pmax")
     expected = num_p * ntheta
     if payload.size != expected:
         raise FileFormatError(

@@ -49,8 +49,8 @@ from .slices import (
     _FIELD_SIDE_CONSTANT,
     _check_convention,
     _slice_sides,
+    _tilde_table,
     sinogram_transform_values,
-    tilde_coefficients,
 )
 
 __all__ = [
@@ -168,15 +168,16 @@ def sinogram_norm(
     """Weighted Sobolev norm of a sinogram (see the module docstring).
 
     Evaluated on ``nq`` positive midpoint nodes up to ``qmax``, which
-    defaults to ``pmax``.
+    defaults to ``pmax``.  The norm is taken in the lemma calculus; under
+    ``"fst"`` it is ``sqrt(2*pi)`` times larger.
     """
+    _check_convention(convention)
     params.require_sinogram_admissible()
     pgrid = PolarFrequencyGrid(nq=nq, qmax=psi.pmax if qmax is None else qmax, ntheta=psi.ntheta)
     qs = pgrid.radial_nodes()
-    values = sinogram_transform_values(psi, convention, qs)
-    coeffs = tilde_coefficients(angular_coefficient_matrix(values, psi.ntheta // 2 - 1).T, psi.m)
+    coeffs = _tilde_table(sinogram_transform_values(psi, qs), psi.m)
     norm_sq = weighted_norm_sq(qs, coeffs, params, 0.0, warn_context="sinogram norm")
-    return float(np.sqrt(norm_sq))
+    return float(_FIELD_SIDE_CONSTANT[convention] * np.sqrt(norm_sq))
 
 
 def field_norm(

@@ -33,12 +33,11 @@ every angle from that angle's geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 from scipy import ndimage
 
-from .fields import TensorField2D
+from .fields import TensorField2D, tensor_weights
 
 __all__ = ["Sinogram", "forward", "parity_residual"]
 
@@ -184,7 +183,7 @@ def forward(
     )
     walking_y = np.ascontiguousarray(walking_x.transpose(0, 2, 1))
     powers = np.arange(f.m + 1)
-    weights = np.array([comb(f.m, j) for j in range(f.m + 1)], dtype=float)
+    weights = tensor_weights(f.m)
 
     def project_angle(theta: float) -> np.ndarray:
         c, s = np.cos(theta), np.sin(theta)

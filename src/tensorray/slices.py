@@ -1,16 +1,18 @@
 """Sinogram Fourier analysis and the slice identities it satisfies.
 
-Two transform conventions are supported for the offset variable ``p``:
+The offset variable ``p`` is transformed in one calculus, the lemma's:
 
-* ``"fst"`` — ``psihat(q, theta) = (2*pi)^(-1/2) * integral(exp(-i*q*p) psi dp)``.
-  In this calculus the scalar identity reads
-  ``psihat(q, theta) = sqrt(2*pi) * fhat(q, theta + pi/2)`` for rank 0.
-* ``"lemma"`` — the same transform divided by another ``sqrt(2*pi)``.  In this
-  calculus the solenoidal identity is constant free:
-  ``sin^m(theta) * psihat(q, theta) = fhat_m(q, theta + pi/2)`` for ``q > 0``.
+    psihat(q, theta) = (1/2pi) * integral(exp(-i*q*p) psi(p, theta) dp),
 
-The two calculi differ by the single constant ``sqrt(2*pi)``; both are kept
-so that either normalization can be verified directly, and
+in which the solenoidal identity is constant free,
+``sin^m(theta) * psihat(q, theta) = fhat_m(q, theta + pi/2)`` for ``q > 0``.
+The ``"fst"`` convention, ``(2*pi)^(-1/2) * integral(exp(-i*q*p) psi dp)``,
+is the same transform times ``sqrt(2*pi)``; in it the scalar identity reads
+``psihat(q, theta) = sqrt(2*pi) * fhat(q, theta + pi/2)``.  So ``"fst"`` is
+no second transform but a constant, ``_FIELD_SIDE_CONSTANT``, applied only
+where a number is reported: the slice constant, the isometry ratio and the
+sinogram norm.  The residuals compare two sides that would both carry it,
+so they do not depend on the convention, and
 :func:`measure_slice_constant` estimates the constant from data.
 
 The ``tilde`` operator is multiplication of a sinogram by ``sin^m(theta)``;
@@ -24,7 +26,6 @@ commutes with the transform in ``p``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
@@ -36,9 +37,6 @@ from .ray import Sinogram, _offset_weights, forward
 
 __all__ = [
     "CONVENTIONS",
-    "SpectralSinogram",
-    "symmetric_q_nodes",
-    "transform_sinogram",
     "sinogram_transform_values",
     "tilde_coefficients",
     "fst_scalar_residual",
@@ -48,16 +46,11 @@ __all__ = [
     "sup_relative_residual",
 ]
 
-CONVENTIONS = ("lemma", "fst")
+# What each convention multiplies a lemma-calculus quantity by: the slice
+# constant, the isometry ratio and the sinogram norm.
+_FIELD_SIDE_CONSTANT = {"lemma": 1.0, "fst": float(np.sqrt(2.0 * np.pi))}
 
-# Prefactor of the p-transform under each convention.
-_FT_PREFACTOR = {
-    "fst": 1.0 / np.sqrt(2.0 * np.pi),
-    "lemma": 1.0 / (2.0 * np.pi),
-}
-
-# Constant carried by the field side of the solenoidal slice identity.
-_FIELD_SIDE_CONSTANT = {"fst": np.sqrt(2.0 * np.pi), "lemma": 1.0}
+CONVENTIONS = tuple(_FIELD_SIDE_CONSTANT)
 
 
 def _check_convention(convention: str) -> str:
@@ -66,82 +59,22 @@ def _check_convention(convention: str) -> str:
     return convention
 
 
-@dataclass(frozen=True)
-class SpectralSinogram:
-    """Angular Fourier coefficients of the p-transformed sinogram.
+def sinogram_transform_values(psi: Sinogram, qs: np.ndarray) -> np.ndarray:
+    """Lemma-calculus p-transform of a sinogram at arbitrary frequency nodes.
 
-    ``coefficients[l + lmax, k]`` is ``psihat_l(q_k)`` under the stored
-    convention.  For range data the coefficients inherit the parity
-    ``psihat_l(-q) = (-1)^(m+l) psihat_l(q)``.
+    Trapezoid quadrature over the symmetric offset grid, times ``1/2pi``;
+    returns values of shape ``(len(qs), ntheta)``.  The offsets are exactly
+    antisymmetric and the weights symmetric, so each column is folded onto
+    ``p > 0``: its even part ``psi(p) + psi(-p)`` meets ``cos(q p)`` and its
+    odd part ``psi(p) - psi(-p)`` meets ``-sin(q p)``, two real products of
+    half the length, with the ``p = 0`` row (odd ``num_p``) added once.
+    This holds for any sinogram, range data or not.
     """
-
-    m: int
-    convention: str
-    qs: np.ndarray
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_convention(self.convention)
-        qs = np.asarray(self.qs, dtype=float)
-        coeffs = np.asarray(self.coefficients, dtype=complex)
-        if qs.ndim != 1:
-            raise ValueError("qs must be a 1D array of frequency nodes")
-        if coeffs.ndim != 2 or coeffs.shape[1] != qs.size or coeffs.shape[0] % 2 != 1:
-            raise ValueError(
-                f"coefficients must have shape (2*lmax+1, len(qs)), got {coeffs.shape}"
-            )
-        qs = qs.copy()
-        coeffs = coeffs.copy()
-        qs.flags.writeable = False
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "qs", qs)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def lmax(self) -> int:
-        return (self.coefficients.shape[0] - 1) // 2
-
-    def orders(self) -> np.ndarray:
-        return np.arange(-self.lmax, self.lmax + 1)
-
-    def coefficient_parity_residual(self) -> float:
-        """Largest violation of ``psihat_l(-q) = (-1)^(m+l) psihat_l(q)``.
-
-        Requires the node set to be symmetric (``qs`` reversed equals
-        ``-qs``); normalized by the largest coefficient magnitude.
-        """
-        if not np.allclose(self.qs[::-1], -self.qs, atol=1e-12 * max(1.0, abs(self.qs).max())):
-            raise ValueError("coefficient parity needs a symmetric q-node set")
-        scale = np.abs(self.coefficients).max()
-        if scale == 0.0:
-            return 0.0
-        signs = (-1.0) ** (self.m + self.orders())
-        mismatch = self.coefficients[:, ::-1] - signs[:, None] * self.coefficients
-        return float(np.abs(mismatch).max() / scale)
-
-
-def symmetric_q_nodes(nq: int, qmax: float) -> np.ndarray:
-    """``2*nq`` midpoint nodes covering ``[-qmax, qmax]`` symmetrically, no zero."""
-    return (np.arange(2 * nq) + 0.5 - nq) * (qmax / nq)
-
-
-def sinogram_transform_values(psi: Sinogram, convention: str, qs: np.ndarray) -> np.ndarray:
-    """p-transform of a sinogram at arbitrary frequency nodes.
-
-    Trapezoid quadrature over the symmetric offset grid; returns values of
-    shape ``(len(qs), ntheta)``.  The offsets are exactly antisymmetric and
-    the weights symmetric, so each column is folded onto ``p > 0``: its
-    even part ``psi(p) + psi(-p)`` meets ``cos(q p)`` and its odd part
-    ``psi(p) - psi(-p)`` meets ``-sin(q p)``, two real products of half
-    the length, with the ``p = 0`` row (odd ``num_p``) added once.  This
-    holds for any sinogram, range data or not.
-    """
-    _check_convention(convention)
     qs = np.asarray(qs, dtype=float)
     _check_finite(qs, "frequency nodes qs")
     half = psi.num_p // 2
     rest = psi.num_p - half  # first index with p > 0
-    weights = _FT_PREFACTOR[convention] * _offset_weights(psi)
+    weights = 1.0 / (2.0 * np.pi) * _offset_weights(psi)
     phase = np.multiply.outer(qs, psi.p_axis()[rest:])
     positive, negative = psi.samples[rest:], psi.samples[half - 1 :: -1]
     out = np.empty(qs.shape + (psi.ntheta,), dtype=complex)
@@ -150,29 +83,6 @@ def sinogram_transform_values(psi: Sinogram, convention: str, qs: np.ndarray) ->
     if rest > half:
         out.real += weights[half] * psi.samples[half]
     return out
-
-
-def transform_sinogram(
-    psi: Sinogram,
-    convention: str = "lemma",
-    qs: np.ndarray | None = None,
-    nq: int = 512,
-    qmax: float | None = None,
-    lmax: int | None = None,
-) -> SpectralSinogram:
-    """Fourier transform in ``p`` followed by the angular Fourier series.
-
-    By default the coefficients are evaluated on the symmetric midpoint node
-    set :func:`symmetric_q_nodes`\\ ``(nq, qmax)`` with ``qmax = pmax``, and
-    the series is truncated at ``lmax = ntheta//2 - 1``.
-    """
-    if qs is None:
-        qs = symmetric_q_nodes(nq, psi.pmax if qmax is None else qmax)
-    if lmax is None:
-        lmax = psi.ntheta // 2 - 1
-    values = sinogram_transform_values(psi, convention, qs)
-    coeffs = angular_coefficient_matrix(values, lmax).T  # (2*lmax+1, nq)
-    return SpectralSinogram(m=psi.m, convention=convention, qs=np.asarray(qs, float), coefficients=coeffs)
 
 
 def tilde_coefficients(coefficients: np.ndarray, m: int) -> np.ndarray:
@@ -205,6 +115,17 @@ def tilde_coefficients(coefficients: np.ndarray, m: int) -> np.ndarray:
     return out / (2.0j) ** m
 
 
+def _tilde_table(psihat: np.ndarray, power: int) -> np.ndarray:
+    """``(sin^power(theta) psihat)_l(q_k)``, indexed ``[l, k]``.
+
+    ``psihat`` holds samples ``(nq, ntheta)`` at the angles
+    ``2 pi j / ntheta``; its series is taken up to ``|l| <= ntheta//2 - 1``,
+    so the result covers ``|l| <= ntheta//2 - 1 - power``.
+    """
+    lmax = psihat.shape[1] // 2 - 1
+    return tilde_coefficients(angular_coefficient_matrix(psihat, lmax).T, power)
+
+
 def sup_relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """``max|lhs - rhs|`` normalized by the larger of the two sup norms.
 
@@ -224,7 +145,7 @@ class _SliceSides(NamedTuple):
     ``fhat`` the spectrum of the last field component turned a quarter turn,
     ``fhat_m(q_k, theta_j + pi/2)``; both have shape ``(nq, ntheta)``.  Each
     residual compares the two in another basis, and the isometry weighs
-    their angular coefficients.  Under ``fst`` both sides carry
+    their angular coefficients.  Under ``fst`` both sides would carry
     ``sqrt(2*pi)``, so the residuals do not depend on the convention.
     """
 
@@ -241,8 +162,7 @@ class _SliceSides(NamedTuple):
 
     def sinogram_coefficients(self) -> np.ndarray:
         """``(tilde psihat)_l(q_k)`` for ``|l| <= ntheta//2 - 1 - m``."""
-        lmax = self.psihat.shape[1] // 2 - 1
-        return tilde_coefficients(angular_coefficient_matrix(self.psihat, lmax).T, self.m)
+        return _tilde_table(self.psihat, self.m)
 
     def field_coefficients(self, lmax: int) -> np.ndarray:
         """Angular coefficients of ``fhat``: ``i^l (fhat_m)_l(q_k)`` for ``|l| <= lmax``."""
@@ -286,7 +206,7 @@ def _slice_sides(
     elif sinogram.ntheta != ntheta:
         raise ValueError("provided sinogram must match the requested ntheta")
     qs = pgrid.radial_nodes()
-    psihat = sinogram_transform_values(sinogram, "lemma", qs)
+    psihat = sinogram_transform_values(sinogram, qs)
     fhat = component_spectrum_polar(f, f.m, pgrid, angle_offset=np.pi / 2.0)
     return _SliceSides(f.m, qs, psihat, fhat)
 

@@ -76,6 +76,16 @@ class TestGenerate:
         payload_b = b.read_bytes().split(b"\n", 1)[1]
         assert payload_a == payload_b
 
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["gaussian", "seeded"])
+    @pytest.mark.parametrize("width", ["0", "-1", "nan"])
+    def test_bad_width_exit_code(self, capsys, tmp_path, seed, width):
+        out_path = tmp_path / "x.tf2d"
+        code, _, err = run(capsys, "generate", "--m", "1", "--kind", "solenoidal", *seed,
+                           "--width", width, "-o", str(out_path))
+        assert code == 2
+        assert "width must be positive and finite" in err
+        assert not out_path.exists()
+
     def test_seed_requires_solenoidal(self, capsys, tmp_path):
         code, _, err = run(capsys, "generate", "--m", "1", "--kind", "generic",
                            "--seed", "3", "--n", "64", "--radius", "8",
@@ -277,6 +287,22 @@ class TestExportCsv:
         code, _, err = run(capsys, "export-csv", str(path), str(tmp_path / "o.csv"))
         assert code == 3
         assert "byte offset" in err
+
+    @pytest.mark.parametrize("kind", ["tf2d", "sino2d"])
+    def test_non_number_length_exit_code(self, capsys, tmp_path, field_file, sino_file, kind):
+        # "radius": "8" and "pmax": true would otherwise load as 8.0 and 1.0
+        src, key, bad = {
+            "tf2d": (field_file, "radius", '"8"'),
+            "sino2d": (sino_file, "pmax", "true"),
+        }[kind]
+        head, payload = src.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header[key] = json.loads(bad)
+        path = tmp_path / f"bad.{kind}"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        code, _, err = run(capsys, "export-csv", str(path), str(tmp_path / "o.csv"))
+        assert code == 3
+        assert f"'{key}' must be a JSON number" in err
 
 
 class TestUsageErrors:

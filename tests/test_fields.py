@@ -213,6 +213,8 @@ class TestGaussianTestField:
         small = CartesianGrid(n=32, radius=1.0)
         with pytest.raises(ValueError, match="6 x width"):
             gaussian_test_field(1, "solenoidal", small)
+        with pytest.raises(ValueError, match="6 x width"):
+            random_solenoidal_field(1, small, seed=3)
 
     def test_m0_potential_rejected(self, grid64):
         with pytest.raises(ValueError, match="m >= 1"):
@@ -248,6 +250,15 @@ class TestRandomSolenoidalField:
         f1 = random_solenoidal_field(2, grid128, seed=1)
         f2 = random_solenoidal_field(2, grid128, seed=2)
         assert relative_l2_error(f1, f2) > 1e-2
+
+
+class TestGeneratorWidth:
+    @pytest.mark.parametrize("width", [0.0, -1.0, -0.5, np.nan, np.inf])
+    def test_rejected_by_both_generators(self, width, grid64):
+        with pytest.raises(ValueError, match="width must be positive and finite"):
+            random_solenoidal_field(1, grid64, seed=3, width=width)
+        with pytest.raises(ValueError, match="width must be positive and finite"):
+            gaussian_test_field(1, "solenoidal", grid64, width=width)
 
 
 class TestComponentSpectrumPolar:

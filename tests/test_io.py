@@ -94,6 +94,20 @@ class TestFieldContainer:
         with pytest.raises(FileFormatError, match=f"'{key}' must be a JSON integer"):
             read_field(path)
 
+    @pytest.mark.parametrize("value", [True, "8", None], ids=["bool", "str", "null"])
+    def test_radius_must_be_json_number(self, tmp_path, value):
+        header = {"format": "tf2d", "version": 1, "m": 0, "n": 16, "radius": value}
+        path = tmp_path / "f.tf2d"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * 16 * 16))
+        with pytest.raises(FileFormatError, match="'radius' must be a JSON number"):
+            read_field(path)
+
+    def test_integer_radius_accepted(self, tmp_path):
+        header = {"format": "tf2d", "version": 1, "m": 0, "n": 16, "radius": 8}
+        path = tmp_path / "f.tf2d"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * 16 * 16))
+        assert read_field(path).grid.radius == 8.0
+
 
 class TestSinogramContainer:
     def test_roundtrip_bit_exact(self, tmp_path, grid64):
@@ -121,6 +135,14 @@ class TestSinogramContainer:
         path = tmp_path / "psi.sino2d"
         path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * 16))
         with pytest.raises(FileFormatError, match=f"'{key}' must be a JSON integer"):
+            read_sinogram(path)
+
+    @pytest.mark.parametrize("value", [True, "1.0", None], ids=["bool", "str", "null"])
+    def test_pmax_must_be_json_number(self, tmp_path, value):
+        header = {"format": "sino2d", "version": 1, "m": 0, "np": 4, "ntheta": 4, "pmax": value}
+        path = tmp_path / "psi.sino2d"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * 16))
+        with pytest.raises(FileFormatError, match="'pmax' must be a JSON number"):
             read_sinogram(path)
 
 

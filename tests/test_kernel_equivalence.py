@@ -19,7 +19,7 @@ from tensorray import (
     random_solenoidal_field,
 )
 from tensorray.grids import fourier_transform_2d, pad_samples
-from tensorray.slices import _FT_PREFACTOR, sinogram_transform_values
+from tensorray.slices import sinogram_transform_values
 
 REL = 1e-13
 
@@ -28,13 +28,13 @@ def relative_gap(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
-def reference_p_transform(psi, convention, qs):
-    """``sum_i w_i exp(-i q p_i) psi(p_i, theta)`` over all offsets, trapezoid weights."""
+def reference_p_transform(psi, qs):
+    """``(1/2pi) sum_i w_i exp(-i q p_i) psi(p_i, theta)`` over all offsets, trapezoid weights."""
     ps = np.linspace(-psi.pmax, psi.pmax, psi.num_p)
     weights = np.full(psi.num_p, ps[1] - ps[0])
     weights[[0, -1]] *= 0.5
     kernel = np.exp(-1j * np.multiply.outer(qs, ps)) * weights
-    return _FT_PREFACTOR[convention] * (kernel @ psi.samples)
+    return (kernel @ psi.samples) / (2.0 * np.pi)
 
 
 def reference_polar_sample(values, grid, qs, phis):
@@ -60,15 +60,14 @@ def reference_spectrum_polar(f, j, pgrid, oversample=2, angle_offset=0.0):
 
 class TestFoldedPTransform:
     @pytest.mark.parametrize("num_p", [2, 3, 64, 65, 257])
-    @pytest.mark.parametrize("convention", ["lemma", "fst"])
-    def test_matches_complex_quadrature_on_non_range_data(self, num_p, convention):
+    def test_matches_complex_quadrature_on_non_range_data(self, num_p):
         # random samples obey no parity in p, so the even and odd parts both count
         rng = np.random.default_rng(num_p)
         psi = Sinogram(m=1, pmax=6.0, samples=rng.standard_normal((num_p, 12)))
         qs = np.concatenate([np.linspace(-9.0, 9.0, 37), [0.0, 1e-3, -20.0]])
-        got = sinogram_transform_values(psi, convention, qs)
+        got = sinogram_transform_values(psi, qs)
         assert got.shape == (qs.size, 12)
-        assert relative_gap(got, reference_p_transform(psi, convention, qs)) < REL
+        assert relative_gap(got, reference_p_transform(psi, qs)) < REL
 
     def test_zero_row_counts_once(self):
         # a sinogram that is nonzero only at p = 0 transforms to w_0 psi(0) at every q
@@ -76,7 +75,7 @@ class TestFoldedPTransform:
         samples[2] = [1.0, -2.0, 3.0, 0.5]
         psi = Sinogram(m=0, pmax=2.0, samples=samples)
         qs = np.array([-1.0, 0.0, 2.5])
-        got = sinogram_transform_values(psi, "lemma", qs)
+        got = sinogram_transform_values(psi, qs)
         expected = psi.dp / (2.0 * np.pi) * np.tile(samples[2], (3, 1))
         assert np.abs(got - expected).max() < 1e-15
 

@@ -19,8 +19,9 @@ from tensorray import (
     reshetnyak_ratios,
     sinogram_norm,
 )
+from tensorray.grids import angular_coefficient_matrix
 from tensorray.norms import weighted_norm_sq
-from tensorray.slices import tilde_coefficients, transform_sinogram
+from tensorray.slices import sinogram_transform_values, tilde_coefficients
 
 
 def gaussian_sinogram(num_p=257, ntheta=32, pmax=8.0):
@@ -70,6 +71,16 @@ class TestSinogramNorm:
         a = sinogram_norm(psi, SobolevParams(1.0, 0.5, 0.25))
         b = sinogram_norm(scaled, SobolevParams(1.0, 0.5, 0.25))
         assert b == pytest.approx(3.0 * a, rel=1e-12)
+
+    def test_fst_is_sqrt_2pi_times_lemma(self):
+        psi = gaussian_sinogram()
+        params = SobolevParams(1.0, 0.5, 0.25)
+        lemma = sinogram_norm(psi, params, "lemma")
+        assert sinogram_norm(psi, params, "fst") == np.sqrt(2.0 * np.pi) * lemma
+
+    def test_bad_convention_rejected(self):
+        with pytest.raises(ValueError, match="convention"):
+            sinogram_norm(gaussian_sinogram(), SobolevParams(0, 0, 0), "unitary")
 
 
 class TestFieldNorm:
@@ -187,7 +198,7 @@ class TestReshetnyak:
             def counted(*args, **kwargs):
                 calls[name] += 1
                 if name == "sinogram_transform_values":
-                    nodes.append(len(args[2]))
+                    nodes.append(len(args[1]))
                 return original(*args, **kwargs)
 
             return counted
@@ -290,9 +301,10 @@ class TestFactorOfTwoBookkeeping:
     @staticmethod
     def symmetric_quadrature(psi, params, nq, qmax):
         """(1/2pi) sum over the 2*nq symmetric nodes covering [-qmax, qmax]."""
-        spectral = transform_sinogram(psi, "lemma", nq=nq, qmax=qmax)
-        coeffs = tilde_coefficients(spectral.coefficients, psi.m)
-        return weighted_norm_sq(spectral.qs, coeffs, params, 0.0)
+        qs = (np.arange(2 * nq) + 0.5 - nq) * (qmax / nq)
+        values = sinogram_transform_values(psi, qs)
+        coeffs = angular_coefficient_matrix(values, psi.ntheta // 2 - 1).T
+        return weighted_norm_sq(qs, tilde_coefficients(coeffs, psi.m), params, 0.0)
 
     def test_full_line_integral_is_twice_positive_half(self, grid128):
         # conjugate symmetry of the p-transform makes the weighted integrand

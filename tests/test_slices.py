@@ -12,11 +12,10 @@ from tensorray import (
     fst_solenoidal_residual,
     gaussian_test_field,
     measure_slice_constant,
-    symmetric_q_nodes,
     tilde_coefficients,
-    transform_sinogram,
 )
 from tensorray.grids import angular_coefficient_matrix
+from tensorray.slices import sinogram_transform_values
 
 
 def gaussian_sinogram(num_p=129, ntheta=32, pmax=8.0):
@@ -38,55 +37,45 @@ def band_limited_sinogram(rng, num_p=65, ntheta=64, pmax=8.0, band=8):
     return Sinogram(m=0, pmax=pmax, samples=samples)
 
 
-class TestTransformSinogram:
-    def test_gaussian_fst_convention(self):
-        psi = gaussian_sinogram()
-        spectral = transform_sinogram(psi, "fst", nq=64, qmax=6.0)
-        qs = np.asarray(spectral.qs)
-        expect = np.sqrt(2.0 * np.pi) * np.exp(-(qs**2) / 2.0)
-        got = spectral.coefficients[spectral.lmax]  # l = 0 row
-        assert np.abs(got - expect).max() < 1e-10
-        other = np.delete(spectral.coefficients, spectral.lmax, axis=0)
-        assert np.abs(other).max() < 1e-12
+def spectral_coefficients(psi, qs, lmax=None):
+    """``psihat_l(q_k)`` indexed ``[l + lmax, k]``: p-transform, then angular series."""
+    lmax = psi.ntheta // 2 - 1 if lmax is None else lmax
+    return angular_coefficient_matrix(sinogram_transform_values(psi, qs), lmax).T
 
+
+def symmetric_nodes(nq, qmax):
+    """``2*nq`` midpoint nodes covering ``[-qmax, qmax]`` symmetrically, no zero."""
+    return (np.arange(2 * nq) + 0.5 - nq) * (qmax / nq)
+
+
+class TestTransformSinogram:
     def test_gaussian_lemma_convention(self):
         psi = gaussian_sinogram()
-        spectral = transform_sinogram(psi, "lemma", nq=64, qmax=6.0)
-        qs = np.asarray(spectral.qs)
-        expect = np.exp(-(qs**2) / 2.0)
-        assert np.abs(spectral.coefficients[spectral.lmax] - expect).max() < 1e-10
+        qs = symmetric_nodes(64, 6.0)
+        coeffs = spectral_coefficients(psi, qs)
+        lmax = psi.ntheta // 2 - 1
+        assert np.abs(coeffs[lmax] - np.exp(-(qs**2) / 2.0)).max() < 1e-10
+        assert np.abs(np.delete(coeffs, lmax, axis=0)).max() < 1e-12
 
     def test_zero_sinogram(self):
         psi = Sinogram(m=0, pmax=4.0, samples=np.zeros((17, 8)))
-        spectral = transform_sinogram(psi)
-        assert np.all(spectral.coefficients == 0)
-
-    def test_bad_convention_rejected(self):
-        with pytest.raises(ValueError, match="convention"):
-            transform_sinogram(gaussian_sinogram(), "unitary")
+        assert np.all(sinogram_transform_values(psi, symmetric_nodes(512, 4.0)) == 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_nodes_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            transform_sinogram(gaussian_sinogram(), "lemma", qs=np.array([0.5, bad]))
+            sinogram_transform_values(gaussian_sinogram(), np.array([0.5, bad]))
 
     def test_coefficient_parity_for_range_data(self, grid128):
+        # psihat_l(-q) = (-1)^(m+l) psihat_l(q) on symmetric nodes
         for m in (0, 1, 2):
             f = gaussian_test_field(m, "generic", grid128)
             psi = forward(f, num_p=129, ntheta=64)
-            spectral = transform_sinogram(psi, "lemma", nq=128, qmax=8.0)
-            assert spectral.coefficient_parity_residual() < 1e-8
-
-    def test_parity_needs_symmetric_nodes(self):
-        psi = gaussian_sinogram()
-        spectral = transform_sinogram(psi, qs=np.array([0.5, 1.0, 1.5]))
-        with pytest.raises(ValueError, match="symmetric"):
-            spectral.coefficient_parity_residual()
-
-    def test_symmetric_nodes_layout(self):
-        qs = symmetric_q_nodes(4, 2.0)
-        assert np.allclose(qs, [-1.75, -1.25, -0.75, -0.25, 0.25, 0.75, 1.25, 1.75])
-        assert np.allclose(qs[::-1], -qs)
+            coeffs = spectral_coefficients(psi, symmetric_nodes(128, 8.0))
+            lmax = psi.ntheta // 2 - 1
+            signs = (-1.0) ** (m + np.arange(-lmax, lmax + 1))
+            mismatch = coeffs[:, ::-1] - signs[:, None] * coeffs
+            assert np.abs(mismatch).max() < 1e-8 * np.abs(coeffs).max()
 
 
 class TestTildeCoefficients:
@@ -139,17 +128,16 @@ class TestTildeCoefficients:
         # tilde then transform vs transform then tilde
         rng = np.random.default_rng(5)
         psi = band_limited_sinogram(rng)
-        qs = symmetric_q_nodes(32, 6.0)
+        qs = symmetric_nodes(32, 6.0)
         m = 2
         lmax = psi.ntheta // 2 - 1
-        spectral = transform_sinogram(psi, "lemma", qs=qs, lmax=lmax)
-        route_a = tilde_coefficients(spectral.coefficients, m)
+        route_a = tilde_coefficients(spectral_coefficients(psi, qs, lmax), m)
         tilded = Sinogram(
             m=psi.m, pmax=psi.pmax,
             samples=psi.samples * np.sin(psi.theta_axis())[None, :] ** m,
         )
-        route_b = transform_sinogram(tilded, "lemma", qs=qs, lmax=lmax - m)
-        assert np.abs(route_a - route_b.coefficients).max() < 1e-10
+        route_b = spectral_coefficients(tilded, qs, lmax - m)
+        assert np.abs(route_a - route_b).max() < 1e-10
 
 
 class TestSliceResiduals:
