@@ -129,15 +129,11 @@ def _cmd_check_reshetnyak(args) -> int:
 
 def _cmd_check_slice(args) -> int:
     field = read_field(args.input)
-    # the residuals do not depend on the convention: both sides scale alike
     sides = _slice_sides(field, ntheta=CHECK_NTHETA, nq=CHECK_NQ)
     residuals = {
         "solenoidal_residual": sides.solenoidal_residual(),
         "coefficient_residual": sides.coefficient_residual(),
     }
-    if field.m == 0 and args.convention == "fst":
-        # the scalar identity is the m = 0 case of the solenoidal one
-        residuals["scalar_residual"] = residuals["solenoidal_residual"]
     passed = all(v < args.tol for v in residuals.values())
     _emit({
         "check": "slice",
@@ -186,8 +182,8 @@ def _cmd_export_csv(args) -> int:
     return EXIT_OK
 
 
-def _add_convention(parser: argparse.ArgumentParser, default: str = "lemma") -> None:
-    parser.add_argument("--convention", choices=CONVENTIONS, default=default,
+def _add_convention(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--convention", choices=CONVENTIONS, default="lemma",
                         help="p-transform normalization (default: %(default)s)")
 
 
@@ -240,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     slc = chk_sub.add_parser("slice", help="slice-identity residuals")
     slc.add_argument("input", help="tf2d field file")
-    _add_convention(slc, default="fst")
     slc.add_argument("--tol", type=_tolerance, default=1e-3)
     slc.set_defaults(handler=_cmd_check_slice)
 

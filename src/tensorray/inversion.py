@@ -322,6 +322,5 @@ def roundtrip_report(
         "degenerate": False,
         "roundtrip_l2_rel": relative_l2_error(reconstructed, reference),
         "reshetnyak_ratio": ratio,
-        "parity_residual": parity_residual(psi),
         "moments": moments.to_dict(),
     }

@@ -53,7 +53,7 @@ def _write_container(path: str | Path, header: dict, payload: np.ndarray) -> Non
         fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
-def _read_container(path: str | Path) -> tuple[dict, np.ndarray, int]:
+def _read_container(path: str | Path, formats=("tf2d", "sino2d")) -> tuple[dict, np.ndarray, int]:
     with open(path, "rb") as fh:
         line = fh.readline(_MAX_HEADER + 1)
         if not line.endswith(b"\n"):
@@ -65,6 +65,9 @@ def _read_container(path: str | Path) -> tuple[dict, np.ndarray, int]:
             raise FileFormatError(f"malformed JSON header: {exc}", int(offset)) from exc
         if not isinstance(header, dict):
             raise FileFormatError("header must be a JSON object", 0)
+        tag = _require(header, "format", 0)
+        if tag not in formats:
+            raise FileFormatError(f"expected format {' or '.join(formats)}, got {tag!r}", 0)
         data = fh.read()
     whole = len(data) - len(data) % 8
     if whole != len(data):
@@ -110,10 +113,7 @@ def write_field(path: str | Path, field: TensorField2D) -> None:
     _write_container(path, header, field.components)
 
 
-def read_field(path: str | Path) -> TensorField2D:
-    header, payload, header_len = _read_container(path)
-    if _require(header, "format", 0) != "tf2d":
-        raise FileFormatError(f"expected format 'tf2d', got {header.get('format')!r}", 0)
+def _decode_field(header: dict, payload: np.ndarray, header_len: int) -> TensorField2D:
     if _require(header, "version", 0) != 1:
         raise FileFormatError(f"unsupported tf2d version {header.get('version')!r}", 0)
     m = _require_int(header, "m")
@@ -130,6 +130,10 @@ def read_field(path: str | Path) -> TensorField2D:
     return TensorField2D(m=m, grid=grid, components=components)
 
 
+def read_field(path: str | Path) -> TensorField2D:
+    return _decode_field(*_read_container(path, ("tf2d",)))
+
+
 def write_sinogram(path: str | Path, psi: Sinogram) -> None:
     header = {
         "format": "sino2d",
@@ -143,10 +147,7 @@ def write_sinogram(path: str | Path, psi: Sinogram) -> None:
     _write_container(path, header, psi.samples)
 
 
-def read_sinogram(path: str | Path) -> Sinogram:
-    header, payload, header_len = _read_container(path)
-    if _require(header, "format", 0) != "sino2d":
-        raise FileFormatError(f"expected format 'sino2d', got {header.get('format')!r}", 0)
+def _decode_sinogram(header: dict, payload: np.ndarray, header_len: int) -> Sinogram:
     if _require(header, "version", 0) != 1:
         raise FileFormatError(f"unsupported sino2d version {header.get('version')!r}", 0)
     m = _require_int(header, "m")
@@ -162,13 +163,13 @@ def read_sinogram(path: str | Path) -> Sinogram:
     return Sinogram(m=m, pmax=pmax, samples=payload.reshape(num_p, ntheta))
 
 
+def read_sinogram(path: str | Path) -> Sinogram:
+    return _decode_sinogram(*_read_container(path, ("sino2d",)))
+
+
 def sniff_format(path: str | Path) -> str:
     """Format tag of a container file (``"tf2d"`` or ``"sino2d"``)."""
-    header, _, _ = _read_container(path)
-    tag = _require(header, "format", 0)
-    if tag not in ("tf2d", "sino2d"):
-        raise FileFormatError(f"unknown container format {tag!r}", 0)
-    return tag
+    return _read_container(path)[0]["format"]
 
 
 def _fmt(value: float) -> str:
@@ -179,29 +180,30 @@ def export_csv(src: str | Path, dest: str | Path) -> int:
     """Convert a container file to CSV; returns the number of data rows.
 
     Fields export as ``x,y,j,f_j`` rows (components outermost), sinograms as
-    ``p,theta,psi`` rows (offset-major).
+    ``p,theta,psi`` rows (offset-major).  ``dest`` is opened only once
+    ``src`` has been read and validated in full.
     """
-    tag = sniff_format(src)
+    header, payload, header_len = _read_container(src)
+    decode = _decode_field if header["format"] == "tf2d" else _decode_sinogram
+    data = decode(header, payload, header_len)
     with open(dest, "w", encoding="utf-8") as out:
-        if tag == "tf2d":
-            field = read_field(src)
-            xs = field.grid.axis()
+        if isinstance(data, TensorField2D):
+            xs = data.grid.axis()
             out.write("x,y,j,f_j\n")
             rows = 0
-            for j in range(field.m + 1):
-                comp = field.components[j]
+            for j in range(data.m + 1):
+                comp = data.components[j]
                 for ix, x in enumerate(xs):
                     for iy, y in enumerate(xs):
                         out.write(f"{_fmt(x)},{_fmt(y)},{j},{_fmt(comp[ix, iy])}\n")
                         rows += 1
             return rows
-        psi = read_sinogram(src)
         out.write("p,theta,psi\n")
         rows = 0
-        ps = psi.p_axis()
-        thetas = psi.theta_axis()
+        ps = data.p_axis()
+        thetas = data.theta_axis()
         for i, p in enumerate(ps):
             for jt, theta in enumerate(thetas):
-                out.write(f"{_fmt(p)},{_fmt(theta)},{_fmt(psi.samples[i, jt])}\n")
+                out.write(f"{_fmt(p)},{_fmt(theta)},{_fmt(data.samples[i, jt])}\n")
                 rows += 1
         return rows

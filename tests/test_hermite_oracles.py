@@ -1,0 +1,208 @@
+"""Closed-form Hermite test fields and their exact sinograms.
+
+Every ``gaussian_test_field`` is ``G * sum_ab C[j, a, b] He_a(x/w) He_b(y/w)``
+per component, with ``G = exp(-|x|^2/(2w^2))`` and the probabilists' Hermite
+polynomials ``He``.  Since ``He_a(x/w) He_b(y/w) G = (-w)^(a+b) dx^a dy^b G``,
+``dx = cos dt - sin dp``, ``dy = sin dt + cos dp`` and the t-derivatives
+integrate to zero along every line,
+
+    I_m f(p, theta) = sqrt(2 pi) w exp(-p^2/(2w^2))
+        * sum_j C(m, j) cos^(m-j) sin^j * sum_ab C[j, a, b] (-sin)^a cos^b He_(a+b)(p/w).
+
+That sinogram needs neither the slice identity nor the projector's own
+spline, so it anchors ``forward`` above rank 0.  The spectral routes the
+generator used to take (:func:`synthesize_solenoidal` of the documented
+amplitude, :func:`symmetrized_gradient` of the rank ``m-1`` generic field)
+are kept here as references for the tables.
+"""
+
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
+
+from tensorray import (
+    forward,
+    gaussian_test_field,
+    random_solenoidal_field,
+    symmetrized_gradient,
+    synthesize_solenoidal,
+)
+from tensorray.fields import (
+    _potential_table,
+    _sample_table,
+    _solenoidal_table,
+    require_solenoidal,
+)
+
+NUM_P, NTHETA = 257, 128
+SEED = 7
+SLACK = 10.0
+
+# forward against the closed form, max error over the peak, measured at
+# n = 256, R = 8, num_p = 257, ntheta = 128: {(kind, width): per rank m}
+MEASURED = {
+    ("solenoidal", 0.8): {0: 1.56e-7, 1: 4.95e-7, 2: 7.80e-7, 3: 1.34e-6, 4: 1.83e-6},
+    ("solenoidal", 1.0): {0: 6.4e-8, 1: 2.0e-7, 2: 3.2e-7, 3: 5.5e-7},
+    ("random", 0.8): {1: 1.6e-6, 2: 1.9e-6, 3: 3.1e-6},
+    ("random", 1.0): {1: 6.5e-7, 2: 7.9e-7, 3: 1.26e-6},
+}
+
+
+def relative_gap(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def projected_terms(table, thetas):
+    """``terms[a, b, theta]``: the weight of ``He_(a+b)(p/w)`` from ``table[:, a, b]``."""
+    m, deg = table.shape[0] - 1, table.shape[1] - 1
+    c, s = np.cos(thetas), np.sin(thetas)
+    powers = np.arange(deg + 1)[:, None]
+    along = np.array([comb(m, j) * c ** (m - j) * s**j for j in range(m + 1)])
+    return np.einsum("jab,jt,at,bt->abt", table, along, (-s) ** powers, c**powers)
+
+
+def degree_sums(terms):
+    """Collect ``terms[a, b]`` onto the Hermite degree ``a + b``."""
+    deg = terms.shape[0] - 1
+    coef = np.zeros((2 * deg + 1, terms.shape[2]))
+    for a in range(deg + 1):
+        coef[a : a + deg + 1] += terms[a]
+    return coef
+
+
+def hermite_sinogram(table, width, ps, thetas):
+    """The closed-form ``I_m`` of the table's field, shape ``(len(ps), len(thetas))``."""
+    coef = degree_sums(projected_terms(table, thetas))
+    he = hermite_e.hermevander(ps / width, coef.shape[0] - 1)
+    profile = np.sqrt(2.0 * np.pi) * width * np.exp(-(ps**2) / (2.0 * width**2))
+    return profile[:, None] * (he @ coef)
+
+
+def random_table(m, seed, width):
+    """Hermite table of ``random_solenoidal_field(m, seed=seed, width=width)``.
+
+    Redraws the seed's ``c_l`` as the generator does.  With ``X = w qx``,
+    ``Y = w qy``, component ``j`` of the spectrum is the Gaussian times
+    ``sum_l c_l (X + iY)^l (-Y)^(m-j) X^j`` plus the realness partners
+    ``(-1)^(m+l) conj(c_l) (X - iY)^l (...)``; the monomial ``X^a Y^b``
+    is the spectrum of ``i^(a+b) w^2 He_a(x/w) He_b(y/w) G`` in the
+    generator's normalisation.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = []
+    for l in range(4):
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        if l == 0:
+            c = 0.5 * (c + (-1.0) ** m * np.conj(c))
+        coeffs.append(c)
+    deg = m + 3
+    poly = np.zeros((m + 1, deg + 1, deg + 1), dtype=complex)
+    for j in range(m + 1):
+        for l, c in enumerate(coeffs):
+            pairs = [(c, 1j)] + ([((-1.0) ** (m + l) * np.conj(c), -1j)] if l else [])
+            for weight, iy in pairs:
+                for k in range(l + 1):
+                    poly[j, l - k + j, k + m - j] += (
+                        weight * comb(l, k) * iy**k * (-1.0) ** (m - j)
+                    )
+    degrees = np.arange(deg + 1)
+    table = poly * 1j ** (degrees[:, None] + degrees[None, :]) / width**2
+    assert np.abs(table.imag).max() <= 1e-14 * np.abs(table).max()
+    return table.real
+
+
+class TestSpectralReferences:
+    """The tables reproduce the spectral routes they replace, up to periodic wrap."""
+
+    @pytest.mark.parametrize("width", [0.8, 1.0])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_solenoidal_matches_synthesized_amplitude(self, m, width, grid256):
+        def amplitude(qx, qy):
+            q = np.hypot(qx, qy)
+            return (1j**m) * (q * width) ** m * np.exp(-((q * width) ** 2) / 2.0)
+
+        ref = synthesize_solenoidal(amplitude, m, grid256).components
+        got = gaussian_test_field(m, "solenoidal", grid256, width=width).components
+        assert relative_gap(got, ref) < 1e-9
+
+    @pytest.mark.parametrize("width", [0.8, 1.0])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_potential_matches_symmetrized_gradient(self, m, width, grid256):
+        lower = gaussian_test_field(m - 1, "generic", grid256, width=width)
+        ref = symmetrized_gradient(lower).components
+        got = gaussian_test_field(m, "potential", grid256, width=width).components
+        assert relative_gap(got, ref) < 1e-9
+
+    @pytest.mark.parametrize("width", [0.8, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_random_field_table(self, m, width, grid256):
+        # the generator is spectral, so it carries the 2R-periodised field:
+        # measured 2.5e-10 at m = 3, w = 1, rounding level at w = 0.8
+        got = _sample_table(random_table(m, SEED, width), grid256, width).components
+        ref = random_solenoidal_field(m, grid256, seed=SEED, width=width).components
+        assert relative_gap(got, ref) < 3e-9
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_widest_width_passes_the_gate(self, m, grid256):
+        # measured relative divergence residual <= 2.8e-7 at w = R / 6
+        require_solenoidal(gaussian_test_field(m, "solenoidal", grid256, width=8.0 / 6.0))
+
+
+def pinned(kind):
+    return [
+        pytest.param(m, width, id=f"m{m}-w{width}")
+        for (k, width), ranks in MEASURED.items() if k == kind
+        for m in ranks
+    ]
+
+
+class TestClosedFormSinograms:
+    """``forward`` against the exact sinograms, pinned at ~10x the measured error."""
+
+    @pytest.mark.parametrize("m, width", pinned("solenoidal"))
+    def test_solenoidal_hermite_anchor(self, m, width, grid256):
+        # I_m f = sqrt(2 pi) w^(1 - min(m, 2)) He_m(p/w) exp(-p^2/(2w^2)) at every angle
+        psi = forward(gaussian_test_field(m, "solenoidal", grid256, width=width),
+                      num_p=NUM_P, ntheta=NTHETA)
+        u = psi.p_axis() / width
+        exact = (np.sqrt(2.0 * np.pi) * width ** (1 - min(m, 2))
+                 * hermite_e.hermeval(u, [0] * m + [1]) * np.exp(-(u**2) / 2.0))
+        err = relative_gap(psi.samples, exact[:, None])
+        assert err < SLACK * MEASURED["solenoidal", width][m]
+
+    @pytest.mark.parametrize("m, width", pinned("random"))
+    def test_random_field_anchor(self, m, width, grid256):
+        psi = forward(random_solenoidal_field(m, grid256, seed=SEED, width=width),
+                      num_p=NUM_P, ntheta=NTHETA)
+        exact = hermite_sinogram(random_table(m, SEED, width), width,
+                                 psi.p_axis(), psi.theta_axis())
+        err = relative_gap(psi.samples, exact)
+        assert err < SLACK * MEASURED["random", width][m]
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    m=st.integers(min_value=1, max_value=6),
+    width=st.floats(min_value=1e-3, max_value=1e3),
+    thetas=st.lists(st.floats(min_value=0.0, max_value=2.0 * np.pi), min_size=1, max_size=8),
+)
+def test_tables_are_solenoidal_and_potential_exactly(m, width, thetas):
+    thetas = np.array(thetas)
+    sol = _solenoidal_table(m, width)
+    # coefficient-level divergence dx f_j + dy f_(j+1): dx raises a, dy raises b
+    div = np.zeros((m, m + 2, m + 2))
+    div[:, 1:, :-1] += sol[:-1]
+    div[:, :-1, 1:] += sol[1:]
+    assert np.all(div == 0.0)
+    # the solenoidal sinogram is w^(-min(m, 2)) He_m at every angle
+    coef = degree_sums(projected_terms(sol, thetas))
+    expected = np.zeros_like(coef)
+    expected[m] = width ** -min(m, 2)
+    assert np.abs(coef - expected).max() <= 1e-14 * width ** -min(m, 2)
+    # the potential sinogram cancels to rounding of its own terms
+    terms = projected_terms(_potential_table(m, width), thetas)
+    assert np.abs(degree_sums(terms)).max() <= 1e-14 * degree_sums(np.abs(terms)).max()

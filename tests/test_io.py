@@ -179,3 +179,19 @@ class TestCsvExport:
         src.write_bytes(b"not a container\n")
         with pytest.raises(FileFormatError, match="byte offset"):
             export_csv(src, tmp_path / "out.csv")
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
+    def test_malformed_source_leaves_destination_alone(self, tmp_path, grid64, existing):
+        src = tmp_path / "short.tf2d"
+        write_field(src, gaussian_test_field(1, "solenoidal", grid64))
+        src.write_bytes(src.read_bytes()[:-8])  # one float short of the header's count
+        dest = tmp_path / "out.csv"
+        before = b"x,y,j,f_j\n0,0,0,1\n"
+        if existing:
+            dest.write_bytes(before)
+        with pytest.raises(FileFormatError, match="payload holds"):
+            export_csv(src, dest)
+        if existing:
+            assert dest.read_bytes() == before
+        else:
+            assert not dest.exists()
