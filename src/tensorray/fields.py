@@ -137,9 +137,7 @@ def divergence_residual(f: TensorField2D) -> np.ndarray:
     specs = np.fft.fft2(f.components, axes=(1, 2))
     res = np.empty((f.m, f.grid.n, f.grid.n))
     for j in range(f.m):
-        dx = np.fft.ifft2(1j * kx * specs[j])
-        dy = np.fft.ifft2(1j * ky * specs[j + 1])
-        res[j] = (dx + dy).real
+        res[j] = np.fft.ifft2(1j * (kx * specs[j] + ky * specs[j + 1])).real
     return res
 
 
@@ -263,13 +261,10 @@ def synthesize_solenoidal(amplitude, m: int, grid: CartesianGrid) -> TensorField
 
     amp_fft = np.fft.ifftshift(amp)  # to fft order
     mono = _eta_monomials(grid, m)
-    dc = amp_fft[0, 0] if m == 0 else 0.0
     comps = np.empty((m + 1, grid.n, grid.n))
     scale = 2.0 * np.pi / (grid.spacing ** 2)
     for j in range(m + 1):
         spec_j = amp_fft * mono[j]
-        if m == 0:
-            spec_j[0, 0] = dc
         out = np.fft.fftshift(np.fft.ifft2(spec_j)) * scale
         imag = np.abs(out.imag).max()
         real_scale = max(np.abs(out.real).max(), 1e-300)

@@ -176,8 +176,6 @@ def pad_samples(values: np.ndarray, grid: CartesianGrid, factor: int) -> tuple[n
     ``factor`` times finer.
     """
     big = grid.padded(factor)
-    if factor == 1:
-        return np.asarray(values), big
     out = np.zeros((big.n, big.n), dtype=np.asarray(values).dtype)
     off = (big.n - grid.n) // 2
     out[off : off + grid.n, off : off + grid.n] = values
@@ -219,7 +217,7 @@ def polar_sample(
     clipped at the grid edge, is prefiltered: the spline coefficients there
     equal the whole grid's to rounding.
     """
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=complex)
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     _check_finite(qs, "radial nodes qs")
@@ -241,8 +239,4 @@ def polar_sample(
             coords[axis] -= lo
             window.append(slice(lo, hi))
         values = values[tuple(window)]
-
-    def spline(part: np.ndarray) -> np.ndarray:
-        return ndimage.map_coordinates(part, coords, order=5, mode="constant")
-
-    return spline(values.real) + 1j * spline(values.imag)
+    return ndimage.map_coordinates(values, coords, order=5, mode="constant")

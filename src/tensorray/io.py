@@ -31,7 +31,6 @@ __all__ = [
     "read_field",
     "write_sinogram",
     "read_sinogram",
-    "sniff_format",
     "export_csv",
 ]
 
@@ -85,10 +84,12 @@ def _require(header: dict, key: str, offset_hint: int):
 
 
 def _require_int(header: dict, key: str) -> int:
-    """A header count: a JSON integer, never a bool, float or string."""
+    """A header count: a JSON integer >= 0, never a bool, float or string."""
     value = _require(header, key, 0)
     if type(value) is not int:
         raise FileFormatError(f"header key {key!r} must be a JSON integer, got {value!r}", 0)
+    if value < 0:
+        raise FileFormatError(f"header key {key!r} must be >= 0, got {value}", 0)
     return value
 
 
@@ -165,11 +166,6 @@ def _decode_sinogram(header: dict, payload: np.ndarray, header_len: int) -> Sino
 
 def read_sinogram(path: str | Path) -> Sinogram:
     return _decode_sinogram(*_read_container(path, ("sino2d",)))
-
-
-def sniff_format(path: str | Path) -> str:
-    """Format tag of a container file (``"tf2d"`` or ``"sino2d"``)."""
-    return _read_container(path)[0]["format"]
 
 
 def _fmt(value: float) -> str:

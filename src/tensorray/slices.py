@@ -103,8 +103,6 @@ def tilde_coefficients(coefficients: np.ndarray, m: int) -> np.ndarray:
             f"input lmax={lmax_in} is insufficient for the sin^{m} stencil; "
             f"need lmax >= {m}"
         )
-    if m == 0:
-        return coefficients.copy()
     out_shape = (2 * lmax_out + 1,) + coefficients.shape[1:]
     out = np.zeros(out_shape, dtype=complex)
     for k in range(m + 1):

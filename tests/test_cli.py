@@ -2,6 +2,7 @@
 
 import collections
 import json
+import re
 
 import numpy as np
 import pytest
@@ -128,7 +129,9 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "reshetnyak", str(field_file),
                            "--convention", "fst")
         assert code == 0
-        assert json.loads(out)["expected_ratio"] == pytest.approx(np.sqrt(2 * np.pi))
+        report = json.loads(out)
+        assert report["expected_ratio"] == pytest.approx(np.sqrt(2 * np.pi))
+        assert report["config"]["convention"] == "fst"
 
     def test_reshetnyak_tight_tol_fails(self, capsys, field_file):
         code, out, _ = run(capsys, "check", "reshetnyak", str(field_file),
@@ -153,6 +156,12 @@ class TestCheck:
     def test_slice_takes_no_convention(self, capsys, field_file):
         # both sides of every slice identity scale alike under a convention
         assert run(capsys, "check", "slice", str(field_file),
+                   "--convention", "fst")[0] == 2
+
+    def test_invert_takes_no_convention(self, capsys, field_file):
+        # the round trip reports the lemma ratio; `check reshetnyak
+        # --convention fst` reports the rescaled one
+        assert run(capsys, "check", "invert", str(field_file),
                    "--convention", "fst")[0] == 2
 
     def test_reshetnyak_rejects_non_solenoidal(self, capsys, generic_field_file):
@@ -278,19 +287,20 @@ class TestExportCsv:
         assert code == 3
 
 
-    @pytest.mark.parametrize("damage", ["ragged-payload", "float-rank"])
+    @pytest.mark.parametrize("damage", ["ragged-payload", "float-rank", "negative-rank"])
     def test_malformed_container_exit_code(self, capsys, tmp_path, field_file, damage):
         data = field_file.read_bytes()
         if damage == "ragged-payload":
             data = data[:-5]
         else:
+            rank = {"float-rank": b'"m": 1.9', "negative-rank": b'"m": -2'}[damage]
             head, payload = data.split(b"\n", 1)
-            data = head.replace(b'"m": 1', b'"m": 1.9') + b"\n" + payload
+            data = head.replace(b'"m": 1', rank) + b"\n" + payload
         path = tmp_path / "bad.tf2d"
         path.write_bytes(data)
         code, _, err = run(capsys, "export-csv", str(path), str(tmp_path / "o.csv"))
         assert code == 3
-        assert "byte offset" in err
+        assert int(re.search(r"byte offset (-?\d+)", err).group(1)) >= 0
 
     @pytest.mark.parametrize("kind", ["tf2d", "sino2d"])
     def test_non_number_length_exit_code(self, capsys, tmp_path, field_file, sino_file, kind):

@@ -10,7 +10,10 @@ integrate to zero along every line,
         * sum_j C(m, j) cos^(m-j) sin^j * sum_ab C[j, a, b] (-sin)^a cos^b He_(a+b)(p/w).
 
 That sinogram needs neither the slice identity nor the projector's own
-spline, so it anchors ``forward`` above rank 0.  The spectral routes the
+spline, so it anchors ``forward`` above rank 0.  So does quarter-turn
+equivariance: a field turned by ``R`` on its grid, with the tensor sign rule
+``(Rf)_j = (-1)^(m-j) f_(m-j)(R^T x)``, has the sinogram shifted by
+``ntheta/4`` columns.  The spectral routes the
 generator used to take (:func:`synthesize_solenoidal` of the documented
 amplitude, :func:`symmetrized_gradient` of the rank ``m-1`` generic field)
 are kept here as references for the tables.
@@ -25,6 +28,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
 from tensorray import (
+    CartesianGrid,
+    TensorField2D,
     forward,
     gaussian_test_field,
     random_solenoidal_field,
@@ -182,6 +187,47 @@ class TestClosedFormSinograms:
                                  psi.p_axis(), psi.theta_axis())
         err = relative_gap(psi.samples, exact)
         assert err < SLACK * MEASURED["random", width][m]
+
+
+def quarter_turn(f):
+    """``(Rf)_j(x, y) = (-1)^(m-j) f_(m-j)(y, -x)``, exact on the grid.
+
+    ``new[a, b] = old[b, (n - a) % n]`` samples ``f(y, -x)``; the index roll
+    keeps ``x -> -x`` on the grid and wraps only the ``-R`` edge row.
+    """
+    n, m = f.grid.n, f.m
+    turned = f.components[:, :, (n - np.arange(n)) % n].transpose(0, 2, 1)
+    signs = (-1.0) ** (m - np.arange(m + 1))
+    return TensorField2D(m=m, grid=f.grid, components=signs[:, None, None] * turned[::-1])
+
+
+# forward(Rf) against forward(f) shifted a quarter turn, max error over the
+# peak, measured at n = 128, R = 8, num_p = 129, ntheta = 64, w = 0.9
+QUARTER_TURN = {
+    ("generic", 0): 1.4e-14,
+    ("generic", 1): 3.6e-14,
+    ("generic", 2): 2.4e-14,
+    ("generic", 3): 5.4e-14,
+    ("random", 1): 4.7e-14,
+    ("random", 2): 4.2e-14,
+    ("random", 3): 3.2e-13,
+}
+
+
+@pytest.mark.parametrize("kind, m", list(QUARTER_TURN), ids=[f"{k}-m{m}" for k, m in QUARTER_TURN])
+def test_quarter_turn_equivariance(kind, m):
+    # a turned field has the sinogram turned by ntheta/4 columns; the oracle
+    # needs neither a closed form nor the slice identity
+    grid = CartesianGrid(n=128, radius=8.0)
+    if kind == "random":
+        f = random_solenoidal_field(m, grid, seed=SEED, width=0.9)
+    else:
+        f = gaussian_test_field(m, kind, grid, width=0.9)
+    ntheta = 64
+    psi = forward(f, num_p=129, ntheta=ntheta).samples
+    turned = forward(quarter_turn(f), num_p=129, ntheta=ntheta).samples
+    err = relative_gap(turned, np.roll(psi, ntheta // 4, axis=1))
+    assert err < SLACK * QUARTER_TURN[kind, m]
 
 
 @settings(max_examples=50, deadline=None, database=None)

@@ -146,6 +146,22 @@ class TestSinogramContainer:
             read_sinogram(path)
 
 
+@pytest.mark.parametrize("fmt, key", [
+    ("tf2d", "m"), ("tf2d", "n"), ("sino2d", "m"), ("sino2d", "np"), ("sino2d", "ntheta"),
+])
+def test_negative_counts_rejected(tmp_path, fmt, key):
+    # a negative count would otherwise reach the payload size or the reshape
+    sizes = {"tf2d": {"m": 0, "n": 4, "radius": 1.0},
+             "sino2d": {"m": 0, "np": 4, "ntheta": 4, "pmax": 1.0}}[fmt]
+    header = {"format": fmt, "version": 1, **sizes, key: -2}
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * 16))
+    read = read_field if fmt == "tf2d" else read_sinogram
+    with pytest.raises(FileFormatError, match=f"'{key}' must be >= 0") as info:
+        read(path)
+    assert info.value.offset == 0
+
+
 class TestCsvExport:
     def test_sinogram_rows(self, tmp_path, grid64):
         psi = forward(gaussian_test_field(0, "generic", grid64), num_p=17, ntheta=8)
