@@ -10,7 +10,6 @@ grids with pinned tolerances.
 from .fields import (
     TensorField2D,
     component_spectrum_polar,
-    divergence_residual,
     field_l2_norm,
     gaussian_test_field,
     random_solenoidal_field,
@@ -81,7 +80,6 @@ __all__ = [
     "TruncationWarning",
     "check_moment_conditions",
     "component_spectrum_polar",
-    "divergence_residual",
     "export_csv",
     "field_l2_norm",
     "field_norm",

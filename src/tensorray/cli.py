@@ -44,7 +44,8 @@ CHECK_NQ = 512
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    # strict JSON: a NaN or infinity in a report is a ValueError (exit 2), never printed
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _tolerance(text: str) -> float:

@@ -5,7 +5,8 @@ A rank-``m`` symmetric tensor field in two dimensions is determined by the
 ``j`` indices equal to 2.  In that representation:
 
 * ``f`` is divergence free (solenoidal) iff
-  ``d(f_j)/dx + d(f_{j+1})/dy = 0`` for ``j = 0 .. m-1``;
+  ``d(f_j)/dx + d(f_{j+1})/dy = 0`` for ``j = 0 .. m-1``, which
+  :func:`require_solenoidal` checks on the spectra of these rows (Parseval);
 * in frequency space the solenoidal constraint forces the spectrum onto a
   single scalar degree of freedom, ``fhat(y) = a(y) * eta(y)^(tensor m)``
   with ``eta(y) = (-y2, y1)/|y|`` the unit vector orthogonal to ``y``, i.e.
@@ -42,7 +43,6 @@ __all__ = [
     "tensor_weights",
     "field_l2_norm",
     "relative_l2_error",
-    "divergence_residual",
     "relative_divergence_residual",
     "require_solenoidal",
     "solenoidal_project",
@@ -125,31 +125,33 @@ def _frequency_mesh(grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(k, k, indexing="ij")
 
 
-def divergence_residual(f: TensorField2D) -> np.ndarray:
-    """Spectral-derivative divergence residuals, shape ``(m, n, n)``.
+def relative_divergence_residual(f: TensorField2D) -> float:
+    """Largest divergence-row L2 norm relative to the field norm.
 
-    ``residual[j] = d(f_j)/dx + d(f_{j+1})/dy`` for ``j = 0 .. m-1``; all of
-    them vanish exactly when the field is solenoidal.
+    Row ``j < m`` is the spectral ``d(f_j)/dx + d(f_{j+1})/dy``, zero for
+    solenoidal fields.  A row is real, so only the Hermitian part of its
+    spectrum ``i D_j``, ``D_j = kx S_j + ky S_{j+1}`` (``S_j`` the FFT of
+    component ``j``), counts; by Parseval its grid L2 norm is
+    ``h * sqrt(sum |D_j(k) - conj D_j(-k)|^2) / 2n``, from two spectra at a
+    time and no inverse transform.  That part drops ``kx`` on the Nyquist row
+    and ``ky`` on the Nyquist column (bins that are their own ``-k``) and the
+    FFT's anti-Hermitian rounding.
     """
     if f.m == 0:
         raise ValueError("scalar fields are vacuously solenoidal; no divergence to check")
-    kx, ky = _frequency_mesh(f.grid)
-    specs = np.fft.fft2(f.components, axes=(1, 2))
-    res = np.empty((f.m, f.grid.n, f.grid.n))
-    for j in range(f.m):
-        res[j] = np.fft.ifft2(1j * (kx * specs[j] + ky * specs[j + 1])).real
-    return res
-
-
-def relative_divergence_residual(f: TensorField2D) -> float:
-    """Largest component-wise residual L2 norm relative to the field norm."""
-    res = divergence_residual(f)
-    h = f.grid.spacing
-    norms = np.sqrt(h * h * np.sum(res**2, axis=(1, 2)))
+    k = 2.0 * np.pi * np.fft.fftfreq(f.grid.n, d=f.grid.spacing)
+    spec = np.fft.fft2(f.components[0])
+    worst = 0.0
+    for comp in f.components[1:]:
+        nxt = np.fft.fft2(comp)
+        row = k[:, None] * spec + k[None, :] * nxt
+        row -= np.roll(row[::-1, ::-1], 1, axis=(0, 1)).conj()  # D(k) - conj D(-k)
+        worst = max(worst, np.vdot(row, row).real)
+        spec = nxt
     scale = field_l2_norm(f)
     if scale == 0.0:
         return 0.0
-    return float(norms.max() / scale)
+    return float(f.grid.spacing * np.sqrt(worst) / (2 * f.grid.n) / scale)
 
 
 def require_solenoidal(f: TensorField2D) -> None:

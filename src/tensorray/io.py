@@ -57,8 +57,14 @@ def _read_container(path: str | Path, formats=("tf2d", "sino2d")) -> tuple[dict,
         line = fh.readline(_MAX_HEADER + 1)
         if not line.endswith(b"\n"):
             raise FileFormatError("header line is unterminated or too long", len(line))
+
+        def reject_constant(name: str):
+            # Python's json reads NaN, Infinity and -Infinity; JSON has no such numbers
+            raise FileFormatError(f"header holds {name}, which is not a JSON number",
+                                  line.find(name.encode()))
+
         try:
-            header = json.loads(line.decode("utf-8"))
+            header = json.loads(line.decode("utf-8"), parse_constant=reject_constant)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             offset = getattr(exc, "pos", getattr(exc, "start", 0))
             raise FileFormatError(f"malformed JSON header: {exc}", int(offset)) from exc

@@ -114,9 +114,11 @@ def weighted_norm_sq(
 
     ``(1/2pi) * sum_l (1+l^2)^r * sum_k dq * |q|^(2t + offset) (1+q^2)^(s-t) |c_lk|^2``;
     ``offset`` is 0 for sinograms and 1 for fields.
-    When ``warn_context`` is given, emits :class:`TruncationWarning` if the
-    top-quarter harmonics or the outer 5% of radial nodes carry more than
-    ``1e-6`` of the total weighted energy.
+    Raises ``ValueError`` naming ``(r, s, t)`` when the weighted sum
+    overflows the float range (``(1+l^2)^r`` does from ``r ~ 86`` at
+    ``l = 63``).  When ``warn_context`` is given, emits
+    :class:`TruncationWarning` if the top-quarter harmonics or the outer 5%
+    of radial nodes carry more than ``1e-6`` of the total weighted energy.
     """
     qs = np.asarray(qs, dtype=float)
     coeffs = np.asarray(coeffs)
@@ -130,12 +132,18 @@ def weighted_norm_sq(
     dq = np.abs(qs[1] - qs[0])
     lmax = (coeffs.shape[0] - 1) // 2
     ls = np.arange(-lmax, lmax + 1)
-    radial = np.abs(qs) ** (2.0 * params.t + radial_exponent_offset) * (1.0 + qs**2) ** (
-        params.s - params.t
-    )
-    angular = (1.0 + ls.astype(float) ** 2) ** params.r
-    cells = angular[:, None] * radial[None, :] * np.abs(coeffs) ** 2 * dq
-    total = float(cells.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        radial = np.abs(qs) ** (2.0 * params.t + radial_exponent_offset) * (1.0 + qs**2) ** (
+            params.s - params.t
+        )
+        angular = (1.0 + ls.astype(float) ** 2) ** params.r
+        cells = angular[:, None] * radial[None, :] * np.abs(coeffs) ** 2 * dq
+        total = float(cells.sum())
+    if not np.isfinite(total):
+        raise ValueError(
+            f"weighted norm overflows at (r, s, t) = ({params.r:g}, {params.s:g}, {params.t:g}); "
+            "the Sobolev weights exceed the float range at these nodes"
+        )
 
     if warn_context is not None and total > 0.0:
         top_l = np.abs(ls) > 0.75 * lmax

@@ -319,6 +319,76 @@ class TestExportCsv:
         assert f"'{key}' must be a JSON number" in err
 
 
+@pytest.mark.parametrize("command", ["forward", "export-csv"])
+@pytest.mark.parametrize("kind", ["tf2d", "sino2d"])
+def test_non_json_constant_exit_code(capsys, tmp_path, field_file, sino_file, command, kind):
+    # Python's json would read "radius": NaN and "pmax": Infinity as floats
+    src, key, bad = {
+        "tf2d": (field_file, "radius", float("nan")),
+        "sino2d": (sino_file, "pmax", float("inf")),
+    }[kind]
+    head, payload = src.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header[key] = bad
+    path = tmp_path / f"bad.{kind}"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    target = {"forward": ["-o", str(tmp_path / "o.sino2d")], "export-csv": [str(tmp_path / "o.csv")]}
+    code, out, err = run(capsys, command, str(path), *target[command])
+    assert code == 3
+    assert "not a JSON number" in err
+    assert out == ""
+
+
+def strict_json(text):
+    """Parse a report as strict JSON: NaN, Infinity and -Infinity fail."""
+
+    def reject(constant):
+        raise AssertionError(f"report holds {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJsonSession:
+    """The README session at n=64: every report parses as strict JSON."""
+
+    def test_readme_session(self, capsys, tmp_path):
+        field = str(tmp_path / "f.tf2d")
+        sino = str(tmp_path / "f.sino2d")
+        session = [
+            ["generate", "--m", "1", "--kind", "solenoidal", "--n", "64", "--radius", "8",
+             "-o", field],
+            ["forward", field, "--np", "65", "--ntheta", "128", "-o", sino],
+            ["check", "moments", sino, "--rmax", "4"],
+            ["check", "reshetnyak", field, "--r", "0", "--s", "0", "--t", "0",
+             "--convention", "lemma"],
+            ["check", "slice", field],
+            ["check", "invert", field],
+            ["export-csv", sino, str(tmp_path / "f.csv")],
+        ]
+        for argv in session:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+            strict_json(out)
+
+    @pytest.mark.parametrize("command", ["reshetnyak", "invert"])
+    def test_overflowing_weights_exit_code(self, capsys, tmp_path, command):
+        field = str(tmp_path / "f.tf2d")
+        assert main(["generate", "--m", "1", "--kind", "solenoidal", "--n", "64",
+                     "-o", field]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "check", command, field, "--r", "200")
+        assert code == 2
+        assert out == ""  # no report, so no NaN ratio
+        assert "(r, s, t) = (200, 0, 0)" in err
+
+    def test_emit_refuses_non_finite_values(self, capsys):
+        from tensorray.cli import _emit
+
+        with pytest.raises(ValueError):
+            _emit({"reshetnyak_ratio": float("nan")})
+        assert capsys.readouterr().out == ""
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

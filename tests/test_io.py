@@ -162,6 +162,22 @@ def test_negative_counts_rejected(tmp_path, fmt, key):
     assert info.value.offset == 0
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("fmt, key", [("tf2d", "radius"), ("sino2d", "pmax")])
+def test_non_json_constants_rejected(tmp_path, fmt, key, constant):
+    # Python's json reads these three; a length must be a JSON number
+    sizes = {"tf2d": {"m": 0, "n": 4, "radius": 1.0},
+             "sino2d": {"m": 0, "np": 4, "ntheta": 4, "pmax": 1.0}}[fmt]
+    header = json.dumps({"format": fmt, "version": 1, **sizes, key: float(constant)})
+    assert constant in header
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(header.encode() + b"\n" + bytes(8 * 16))
+    read = read_field if fmt == "tf2d" else read_sinogram
+    with pytest.raises(FileFormatError, match=f"holds {constant}, which is not a JSON number") as info:
+        read(path)
+    assert info.value.offset == header.index(f": {constant}") + 2
+
+
 class TestCsvExport:
     def test_sinogram_rows(self, tmp_path, grid64):
         psi = forward(gaussian_test_field(0, "generic", grid64), num_p=17, ntheta=8)

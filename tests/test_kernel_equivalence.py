@@ -3,8 +3,10 @@
 Each reference below is the direct form of what a kernel computes, kept here
 as the oracle: the p-transform as a complex-exponential quadrature over every
 offset, the polar sampler as quintic splines prefiltered over the whole grid,
-and the polar spectrum sampled over the full turn.  The kernels fold, window
-or mirror that work; results must agree to rounding (relative 1e-13).
+the polar spectrum sampled over the full turn, and the divergence gate as
+spatial rows transformed back from their spectra.  The kernels fold, window,
+mirror or read off the spectrum that work; results must agree to rounding
+(relative 1e-13).
 """
 
 import numpy as np
@@ -12,11 +14,16 @@ import pytest
 from scipy import ndimage
 
 from tensorray import (
+    CartesianGrid,
     PolarFrequencyGrid,
     Sinogram,
+    TensorField2D,
     component_spectrum_polar,
+    field_l2_norm,
+    gaussian_test_field,
     polar_sample,
     random_solenoidal_field,
+    relative_divergence_residual,
 )
 from tensorray.grids import fourier_transform_2d, pad_samples
 from tensorray.slices import sinogram_transform_values
@@ -56,6 +63,17 @@ def reference_spectrum_polar(f, j, pgrid, oversample=2, angle_offset=0.0):
     return polar_sample(
         spec, big_grid.dual(), pgrid.radial_nodes(), pgrid.angular_nodes() + angle_offset
     )
+
+
+def reference_divergence_residual(f):
+    """Rows ``ifft2(i (kx S_j + ky S_{j+1})).real`` in space, then their largest grid L2 norm."""
+    k = 2.0 * np.pi * np.fft.fftfreq(f.grid.n, d=f.grid.spacing)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    specs = np.fft.fft2(f.components, axes=(1, 2))
+    rows = [np.fft.ifft2(1j * (kx * specs[j] + ky * specs[j + 1])).real for j in range(f.m)]
+    h = f.grid.spacing
+    norms = [np.sqrt(h * h * np.sum(row**2)) for row in rows]
+    return max(norms) / field_l2_norm(f)
 
 
 class TestFoldedPTransform:
@@ -110,3 +128,57 @@ class TestHalfTurnSpectrum:
             ref = reference_spectrum_polar(f, j, pgrid, angle_offset=angle_offset)
             assert got.shape == ref.shape == (40, 30)
             assert relative_gap(got, ref) < REL
+
+
+class TestSpectralDivergenceGate:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_spatial_rows_on_noise(self, m, n):
+        # seeded noise has content up to the Nyquist row and column
+        rng = np.random.default_rng(10 * n + m)
+        grid = CartesianGrid(n=n, radius=8.0)
+        f = TensorField2D(m=m, grid=grid, components=rng.standard_normal((m + 1, n, n)))
+        ref = reference_divergence_residual(f)
+        assert abs(relative_divergence_residual(f) - ref) < REL * ref
+
+    @pytest.mark.parametrize("kind", ["generic", "potential"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_spatial_rows_on_gaussians(self, kind, m, grid256):
+        f = gaussian_test_field(m, kind, grid256)
+        ref = reference_divergence_residual(f)
+        assert ref > 1e-2
+        assert abs(relative_divergence_residual(f) - ref) < REL * ref
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_solenoidal_fields_read_rounding(self, m, grid256):
+        f = random_solenoidal_field(m, grid256, seed=7)
+        assert reference_divergence_residual(f) < REL
+        assert relative_divergence_residual(f) < REL
+
+    def test_nyquist_bins_carry_no_derivative(self, grid64):
+        # (-1)^i along x lives on the Nyquist row alone: the real part of the
+        # spatial row drops its kx derivative, and so must the gate
+        sign = (-1.0) ** np.arange(64)
+        comps = np.array([np.outer(sign, np.ones(64)), np.outer(np.ones(64), sign)])
+        f = TensorField2D(m=1, grid=grid64, components=comps)
+        assert reference_divergence_residual(f) == 0.0
+        assert relative_divergence_residual(f) < 1e-15
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_forward_transforms_only(self, m, monkeypatch, grid64):
+        f = random_solenoidal_field(m, grid64, seed=1)  # synthesis itself transforms back
+        expected = relative_divergence_residual(f)
+        calls = []
+        fft2 = np.fft.fft2
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fft2(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gate made an inverse transform")
+
+        monkeypatch.setattr(np.fft, "fft2", counted)
+        monkeypatch.setattr(np.fft, "ifft2", refuse)
+        assert relative_divergence_residual(f) == expected
+        assert len(calls) == m + 1

@@ -177,6 +177,12 @@ class TestReshetnyak:
         with pytest.raises(ValueError, match="t > -1"):
             reshetnyak_check(f, SobolevParams(0, 0, -1.2))
 
+    def test_overflowing_weights_rejected(self, grid64):
+        # (1+63^2)^200 overflows: the ratio would be NaN
+        f = gaussian_test_field(1, "solenoidal", grid64)
+        with pytest.raises(ValueError, match=r"\(r, s, t\) = \(200, 0, 0\)"):
+            reshetnyak_ratios(f, [SobolevParams(200.0, 0.0, 0.0)], ntheta=128, nq=64)
+
     def test_ratio_uniform_across_weight_range(self, grid128):
         # the matched midpoint nodes keep the ratio flat even where the
         # radial weight is singular (t near -1) or strongly growing
@@ -338,3 +344,12 @@ class TestWeightedNormValidation:
         qs = np.linspace(0.1, 4.0, 8)
         with pytest.raises(ValueError, match="match the radial nodes"):
             weighted_norm_sq(qs, np.ones((3, 7)), SobolevParams(0.0, 0.5, 0.5), 0.0)
+
+    @pytest.mark.parametrize("params", [
+        SobolevParams(200.0, 0.0, 0.0), SobolevParams(0.0, 300.0, 0.0), SobolevParams(0.0, 0.0, 300.0),
+    ], ids=["r", "s", "t"])
+    def test_overflowing_weights_rejected(self, params):
+        # (1+63^2)^200 and (1+q^2)^300 exceed the float range; the sum would be inf or nan
+        qs = (np.arange(64) + 0.5) * 8.0 / 64
+        with pytest.raises(ValueError, match=r"overflows at \(r, s, t\)"):
+            weighted_norm_sq(qs, np.ones((127, 64)), params, 1.0)
