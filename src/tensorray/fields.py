@@ -100,20 +100,24 @@ def tensor_weights(m: int) -> np.ndarray:
     return np.array([comb(m, j) for j in range(m + 1)], dtype=float)
 
 
+def _weighted_sum_sq(m: int, components) -> float:
+    """``sum_j C(m, j) sum(c_j**2)``, one component at a time (no stacked temporaries)."""
+    return sum(w * float(np.vdot(c, c)) for w, c in zip(tensor_weights(m), components))
+
+
 def field_l2_norm(f: TensorField2D) -> float:
     """Grid L2 norm with the symmetric-tensor inner product weights."""
-    w = tensor_weights(f.m)
     h = f.grid.spacing
-    return float(np.sqrt(h * h * np.sum(w[:, None, None] * f.components**2)))
+    return float(np.sqrt(h * h * _weighted_sum_sq(f.m, f.components)))
 
 
 def relative_l2_error(f: TensorField2D, ref: TensorField2D) -> float:
     """``||f - ref|| / ||ref||`` in the weighted grid L2 norm."""
     if f.m != ref.m or f.grid != ref.grid:
         raise ValueError("fields must share rank and grid")
-    w = tensor_weights(f.m)
-    num = np.sqrt(np.sum(w[:, None, None] * (f.components - ref.components) ** 2))
-    den = np.sqrt(np.sum(w[:, None, None] * ref.components**2))
+    diffs = (a - b for a, b in zip(f.components, ref.components))
+    num = np.sqrt(_weighted_sum_sq(f.m, diffs))
+    den = np.sqrt(_weighted_sum_sq(f.m, ref.components))
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return float(num / den)

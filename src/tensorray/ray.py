@@ -12,12 +12,20 @@ The integrand is the field's interpolating cubic spline (coefficients from
 one prefilter per component; outside the grid square it reads as zero).  The
 quadrature follows Joseph's scheme: each line is sampled where it crosses a
 set of columns perpendicular to the grid axis closer to ``xi`` (x when
-``|cos| >= |sin|``), spaced so that consecutive samples lie ``t_step`` apart
-along the line, and the samples are summed with weight ``t_step``.  On a
-column the spline's four B-spline weights along the walking axis are fixed,
-so each angle collapses the coefficients once into one row per column and
-every line sample is a 4-tap 1D spline evaluation across it.  Only columns
-inside the grid are built and samples off the grid are never evaluated.
+``|cos| >= |sin|``).  By default these are the grid's own columns, ``h``
+apart, and each sample is weighted by the step between columns along the
+line, ``h / max(|cos|, |sin|)``; an explicit ``t_step`` spaces the columns so
+that consecutive samples lie ``t_step`` apart along the line and weights them
+by ``t_step``.  On a column the spline's four B-spline weights along the
+walking axis are fixed, so each angle collapses the coefficients once into
+one row per column and every line sample is a 4-tap 1D spline evaluation
+across it.  Only columns inside the grid are built and samples off the grid
+are never evaluated.
+
+At desk scale (n = 256, R = 8) the default samples 256 columns per angle
+where a step of ``h/2`` samples 512-724.  Against a step of ``h/4`` it moves
+a sinogram by 2e-7 to 1e-6 of its peak, 0.31-0.43 of the spline's own error
+against the closed-form sinograms, which it leaves unchanged to 3 digits.
 
 Only the first half turn ``theta < pi`` is projected.  The line
 ``(-p, theta + pi)`` is ``(p, theta)`` walked backwards, so every ray
@@ -26,8 +34,8 @@ second half turn is the first mirrored in ``p`` (the offsets are exactly
 antisymmetric) times ``(-1)^m``.  Forward outputs satisfy the parity by
 construction; :func:`parity_residual` measures the violation for arbitrary
 sinograms.  The quadrature itself is checked by its own oracles: the
-Gaussian anchors, convergence in ``t_step`` and the 2D-spline sampling of
-every angle from that angle's geometry.
+Gaussian and closed-form rank-m anchors, convergence in ``t_step`` and the
+2D-spline sampling of every angle from that angle's geometry.
 """
 
 from __future__ import annotations
@@ -142,9 +150,12 @@ def forward(
         rejected because such lines would be truncated inside the support,
         and so are non-finite values.
     t_step : float, optional
-        Quadrature step along every line, in ``(0, h]``; defaults to half the
-        grid spacing ``h``.  The sampling columns are ``t_step`` times the
-        larger of ``|cos theta|`` and ``|sin theta|`` apart.
+        Quadrature step along every line.  ``None`` (the default) samples
+        each line at the grid's own columns, ``h`` apart, with weight
+        ``h / max(|cos theta|, |sin theta|)``, the step along the line
+        between them.  An explicit value must lie in ``(0, h]``; the sampling
+        columns are then ``t_step`` times the larger of ``|cos theta|`` and
+        ``|sin theta|`` apart and each sample is weighted by ``t_step``.
 
     The ``ntheta // 2`` angles below ``pi`` are projected; the rest are
     their mirror ``(-1)^m psi(-p, theta)``, so the output satisfies the
@@ -164,9 +175,8 @@ def forward(
         raise ValueError(f"need at least 2 offset samples, got {num_p}")
     if ntheta < 2 or ntheta % 2 != 0:
         raise ValueError(f"ntheta must be even and >= 2, got {ntheta}")
-    dt = grid.spacing / 2.0 if t_step is None else float(t_step)
-    if not 0.0 < dt <= grid.spacing:
-        raise ValueError(f"t_step must lie in (0, grid spacing], got {dt}")
+    if t_step is not None and not 0.0 < t_step <= grid.spacing:
+        raise ValueError(f"t_step must lie in (0, grid spacing], got {t_step}")
 
     ps = _p_axis(pmax, num_p)
 
@@ -195,7 +205,11 @@ def forward(
         else:
             along, across, offsets, padded = s, c, -ps, walking_y
         plane = np.tensordot(trig, padded, axes=(0, 0))
-        dx = dt * abs(along)
+        # each sample weighs the step along the line to the next column
+        if t_step is None:
+            dx, weight = h, h / abs(along)
+        else:
+            dx, weight = t_step * abs(along), t_step
         ks = np.arange(np.ceil(-radius / dx), np.floor((radius - h) / dx) + 1.0)
         walk = ks * dx
         u = (walk + radius) / h
@@ -223,7 +237,7 @@ def forward(
             rows.ravel(), v.reshape(1, -1), order=3, mode="constant", cval=0.0,
             prefilter=False,
         )
-        return dt * vals.reshape(num_p, ncol).sum(axis=1)
+        return weight * vals.reshape(num_p, ncol).sum(axis=1)
 
     thetas = 2.0 * np.pi * np.arange(ntheta // 2) / ntheta
     first = np.stack([project_angle(theta) for theta in thetas], axis=1)

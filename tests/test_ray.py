@@ -46,22 +46,26 @@ class TestForward:
         err = np.abs(psi.samples - exact).max() / exact.max()
         assert err < 5e-7
 
-    def test_quadrature_converged_at_default_step(self, grid256):
-        # halving the step along the line changes nothing the checks resolve
+    def test_quadrature_converged_at_half_spacing(self, grid256):
+        # at a step of h/2 along the line, halving it changes nothing the
+        # checks resolve; the default (grid columns) is held to the closed
+        # forms instead, in test_hermite_oracles
         f = random_solenoidal_field(3, grid256, seed=4)
-        coarse = forward(f).samples
+        coarse = forward(f, t_step=grid256.spacing / 2.0).samples
         fine = forward(f, t_step=grid256.spacing / 4.0).samples
         assert np.abs(fine - coarse).max() / np.abs(fine).max() < 2e-8
 
-    @pytest.mark.parametrize("t_step_in_h", [0.5, 0.3])
+    @pytest.mark.parametrize("t_step_in_h", [0.5, 0.3, None])
     def test_same_spline_as_2d_sampling_at_the_same_nodes(self, t_step_in_h, grid64):
         # oracle: the 2D interpolating cubic spline of the contracted field,
-        # sampled where each line crosses the columns of the axis closer to xi;
-        # every angle, theta >= pi included, is computed from its own geometry,
-        # so the mirrored half turn is checked without the mirror (odd ranks
-        # catch its sign, fields without symmetry in p its flip)
-        dt = t_step_in_h * grid64.spacing
+        # sampled where each line crosses the columns of the axis closer to xi
+        # (by default the grid's own columns, h apart, each sample weighted by
+        # the step h/|along| between them); every angle, theta >= pi included,
+        # is computed from its own geometry, so the mirrored half turn is
+        # checked without the mirror (odd ranks catch its sign, fields without
+        # symmetry in p its flip)
         h, radius = grid64.spacing, grid64.radius
+        dt = None if t_step_in_h is None else t_step_in_h * h
         for m in (1, 2, 3):
             f = random_solenoidal_field(m, grid64, seed=m)
             psi = forward(f, num_p=21, ntheta=12, t_step=dt)
@@ -72,8 +76,12 @@ class TestForward:
                 spline = ndimage.spline_filter(
                     np.tensordot(trig, f.components, axes=(0, 0)), order=3, mode="constant"
                 )
-                step = dt * max(abs(c), abs(s))
-                cols = step * np.arange(np.ceil(-radius / step), np.floor((radius - h) / step) + 1)
+                along = max(abs(c), abs(s))
+                if dt is None:
+                    cols, weight = h * np.arange(-grid64.n // 2, grid64.n // 2), h / along
+                else:
+                    step, weight = dt * along, dt
+                    cols = step * np.arange(np.ceil(-radius / step), np.floor((radius - h) / step) + 1)
                 if abs(c) >= abs(s):
                     xs, ys = np.broadcast_to(cols, (p.size, cols.size)), p / c + cols * s / c
                 else:
@@ -82,7 +90,7 @@ class TestForward:
                     spline, [(xs.ravel() + radius) / h, (ys.ravel() + radius) / h],
                     order=3, mode="constant", cval=0.0, prefilter=False,
                 ).reshape(xs.shape)
-                expected = dt * vals.sum(axis=1)
+                expected = weight * vals.sum(axis=1)
                 err = np.abs(psi.samples[:, j] - expected).max()
                 assert err < 1e-12 * np.abs(expected).max(), (m, j)
 
