@@ -30,13 +30,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .grids import (
-    CartesianGrid,
-    PolarFrequencyGrid,
-    fourier_transform_2d,
-    pad_samples,
-    polar_sample,
-)
+from .grids import CartesianGrid, PolarFrequencyGrid, _sample_polar_window
 
 __all__ = [
     "TensorField2D",
@@ -181,7 +175,17 @@ def _eta_monomials(grid: CartesianGrid, m: int) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         e1 = np.where(rad > 0, -ky / rad, 0.0)
         e2 = np.where(rad > 0, kx / rad, 0.0)
-    return np.array([e1 ** (m - j) * e2**j for j in range(m + 1)])
+    del kx, ky, rad
+    # running products into the output: e2^j upwards, then e1^(m-j) downwards
+    mono = np.empty((m + 1,) + e1.shape)
+    mono[0] = 1.0
+    for j in range(1, m + 1):
+        np.multiply(mono[j - 1], e2, out=mono[j])
+    power = np.ones_like(e1)
+    for j in range(m - 1, -1, -1):
+        power *= e1
+        mono[j] *= power
+    return mono
 
 
 def solenoidal_project(f: TensorField2D) -> TensorField2D:
@@ -436,20 +440,63 @@ def component_spectrum_polar(
 ) -> np.ndarray:
     """Polar samples ``fhat_j(q_k, phi_j + angle_offset)`` of one component.
 
-    The spectrum is computed on an ``oversample`` times finer dual grid (by
-    zero padding, valid for boundary-decayed fields) and then sampled with
-    quintic splines (:func:`~tensorray.grids.polar_sample`).  At desk scale
-    the default 2x grid keeps the error against the analytic Gaussian
-    spectrum near 1e-7 of its peak, far below the slice-identity tolerances
-    used downstream.  The spectrum must decay well inside the padded dual
-    grid, whose half-width is the Nyquist frequency of the field grid.
+    The spectrum is that of the component zero padded to an ``oversample``
+    times larger grid (valid for boundary-decayed fields), i.e. the
+    continuum-normalized transform on an ``oversample`` times finer dual
+    grid, sampled with the quintic splines of
+    :func:`~tensorray.grids.polar_sample`.  At desk scale the default 2x
+    grid keeps the error against the analytic Gaussian spectrum near 1e-7
+    of its peak, far below the slice-identity tolerances used downstream.
+    The spectrum must decay well inside the padded dual grid, whose
+    half-width is the Nyquist frequency of the field grid; nodes beyond it
+    raise before anything is transformed.
+
+    Only the index window the splines read (the nodes' reach plus the
+    prefilter margin, clipped at the grid edge) is computed, and from the
+    real component alone: a real FFT along y over the ``n`` nonzero rows at
+    the padded length, kept at the window's ``|ky|`` only, a complex FFT
+    along x over those columns, then the window's rows; where ``ky < 0``
+    the window reads the conjugate at ``(-kx, -ky)``.  Padding centres the
+    samples, which puts the phase ``e^{i pi k / oversample}`` on frequency
+    index ``k`` along each axis.  No padded array is formed; the window
+    equals the padded :func:`~tensorray.grids.fourier_transform_2d` there
+    to rounding.
 
     Components are real, so ``fhat_j(q, phi + pi) = conj(fhat_j(q, phi))``:
     only the first ``ntheta // 2`` angles (``ntheta`` is even) are sampled
     and the second half turn is their conjugate.
     """
-    big, big_grid = pad_samples(f.component(j), f.grid, oversample)
-    spec = fourier_transform_2d(big, big_grid)
+    comp = f.component(j)
+    n, size = f.grid.n, f.grid.n * oversample
+
+    def phase(k: np.ndarray) -> np.ndarray:
+        # padding centres the n samples: index k carries e^{i pi k / oversample}
+        return np.exp(1j * np.pi * (k % (2 * oversample)) / oversample)
+
+    def spectrum(window: tuple[slice, slice]) -> np.ndarray:
+        rows, cols = window
+        ky_lo, ky_hi = cols.start - size // 2, cols.stop - size // 2
+        kmax = max(-ky_lo, ky_hi - 1)
+        # the component's DFT at ky = 0..kmax and every kx: row a holds
+        # kx = a - size/2 (the window's own index), row `size` repeats row 0
+        half = np.zeros((size + 1, kmax + 1), dtype=complex)
+        half[:n] = np.fft.rfft(comp, n=size, axis=1)[:, : kmax + 1]
+        np.negative(half[1:n:2], out=half[1:n:2])  # (-1)^i moves kx by size/2
+        np.fft.fft(half[:size], axis=0, out=half[:size])
+        half[size] = half[0]
+        # the DFT of a real component has D(-kx, -ky) = conj D(kx, ky)
+        out = np.empty((rows.stop - rows.start, cols.stop - cols.start), dtype=complex)
+        neg = min(max(-ky_lo, 0), out.shape[1])
+        out[:, neg:] = half[rows, ky_lo + neg : ky_hi]
+        out[:, :neg] = half[size - rows.start : size - rows.stop : -1, -ky_lo : -(ky_lo + neg) : -1]
+        del half
+        out.imag[:, :neg] *= -1.0
+        scale = f.grid.spacing**2 / (2.0 * np.pi)
+        out *= scale * phase(np.arange(rows.start, rows.stop) - size // 2)[:, None]
+        out *= phase(np.arange(cols.start, cols.stop) - size // 2)
+        return out
+
+    dual = f.grid.padded(oversample).dual()
     phis = pgrid.angular_nodes()[: pgrid.ntheta // 2] + angle_offset
-    first = polar_sample(spec, big_grid.dual(), pgrid.radial_nodes(), phis)
+    first = _sample_polar_window(dual, pgrid.radial_nodes(), phis, spectrum)
     return np.concatenate([first, first.conj()], axis=1)

@@ -197,6 +197,41 @@ def angular_coefficient_matrix(samples: np.ndarray, lmax: int) -> np.ndarray:
     return raw[..., idx]
 
 
+def _sample_polar_window(grid: CartesianGrid, qs, phis, window_values) -> np.ndarray:
+    """Quintic splines at the polar nodes over the index window they reach.
+
+    Validates the nodes, finds the window (their reach widened by
+    ``_PREFILTER_MARGIN`` samples on each side, clipped at the grid edge)
+    and samples ``window_values(window)``, the grid function on that
+    ``(rows, columns)`` slice pair, there.  Nothing is computed before the
+    nodes pass.
+    """
+    qs = np.atleast_1d(np.asarray(qs, dtype=float))
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    _check_finite(qs, "radial nodes qs")
+    _check_finite(phis, "angular nodes phis")
+    reach = np.abs(qs).max(initial=0.0)
+    if reach > grid.radius + 1e-12:
+        raise ValueError(
+            f"requested radius {reach:.6g} exceeds the grid extent "
+            f"{grid.radius:.6g} (the Nyquist bound of the sampled transform)"
+        )
+    # (q cos(phi) + R) / h and (q sin(phi) + R) / h, in sample units
+    coords = np.empty((2, qs.size, phis.size))
+    for axis, trig in enumerate((np.cos, np.sin)):
+        np.multiply.outer(qs, trig(phis), out=coords[axis])
+        coords[axis] += grid.radius
+        coords[axis] /= grid.spacing
+    window = [slice(0, grid.n), slice(0, grid.n)]
+    if coords.size:
+        for axis in (0, 1):
+            lo = max(0, int(np.floor(coords[axis].min())) - _PREFILTER_MARGIN)
+            hi = min(grid.n, int(np.ceil(coords[axis].max())) + _PREFILTER_MARGIN + 1)
+            coords[axis] -= lo
+            window[axis] = slice(lo, hi)
+    return ndimage.map_coordinates(window_values(tuple(window)), coords, order=5, mode="constant")
+
+
 def polar_sample(
     values: np.ndarray, grid: CartesianGrid, qs: np.ndarray, phis: np.ndarray
 ) -> np.ndarray:
@@ -215,28 +250,10 @@ def polar_sample(
     decayed well inside the grid.  For the same reason only the index
     window the nodes reach, widened by ``_PREFILTER_MARGIN`` samples and
     clipped at the grid edge, is prefiltered: the spline coefficients there
-    equal the whole grid's to rounding.
+    equal the whole grid's to rounding.  That window is all of ``values``
+    the samples read, so a caller that can compute the window alone (as
+    :func:`~tensorray.fields.component_spectrum_polar` does) gets the same
+    samples without the rest of the grid.
     """
     values = np.asarray(values, dtype=complex)
-    qs = np.atleast_1d(np.asarray(qs, dtype=float))
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    _check_finite(qs, "radial nodes qs")
-    _check_finite(phis, "angular nodes phis")
-    reach = np.abs(qs).max(initial=0.0)
-    if reach > grid.radius + 1e-12:
-        raise ValueError(
-            f"requested radius {reach:.6g} exceeds the grid extent "
-            f"{grid.radius:.6g} (the Nyquist bound of the sampled transform)"
-        )
-    qx = qs[:, None] * np.cos(phis)[None, :]
-    qy = qs[:, None] * np.sin(phis)[None, :]
-    coords = np.array([qx + grid.radius, qy + grid.radius]) / grid.spacing
-    if coords.size:
-        window = []
-        for axis in (0, 1):
-            lo = max(0, int(np.floor(coords[axis].min())) - _PREFILTER_MARGIN)
-            hi = min(grid.n, int(np.ceil(coords[axis].max())) + _PREFILTER_MARGIN + 1)
-            coords[axis] -= lo
-            window.append(slice(lo, hi))
-        values = values[tuple(window)]
-    return ndimage.map_coordinates(values, coords, order=5, mode="constant")
+    return _sample_polar_window(grid, qs, phis, values.__getitem__)

@@ -40,7 +40,7 @@ from .fields import (
 from .grids import CartesianGrid, angular_coefficient_matrix, inverse_fourier_transform_2d
 from .norms import SobolevParams, reshetnyak_check
 from .ray import Sinogram, _offset_weights, forward, parity_residual
-from .slices import _check_convention, _tilde_table, sinogram_transform_values
+from .slices import _check_convention, _tilde_table
 
 __all__ = [
     "MomentOrder",
@@ -172,16 +172,36 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
 
     The result is the spectrum of a real field, ``s(-y) = (-1)^(m + power)
     conj(s(y))``: each coefficient ``c_l = (-i)^l g_l`` is averaged with its
-    mirror so that ``c_(-l) = (-1)^(l + m + power) conj(c_l)``, and the pair
-    ``(l, -l)`` is summed as ``t + sign_l conj(t)`` with ``t = c_l e^{i l arg
-    y}``.  Both terms negate exactly with ``y``, so the symmetry is bitwise.
-    Work runs in blocks of radii, so memory stays at one block's worth.
+    mirror so that ``c_(-l) = (-1)^(l + m + power) conj(c_l)``, so the pair
+    ``(l, -l)`` sums to ``t + sign_l conj(t)`` with ``t = c_l e^{i l arg y}``,
+    which is ``2 Re t`` or ``2i Im t``.  The series is evaluated on the
+    half-plane ``ky > 0`` (plus ``ky = 0, kx >= 0``) and written on the other
+    half as ``(-1)^(m + power)`` times its conjugate, so the symmetry is
+    bitwise by construction.
+
+    The angular DFT, the ``sin^power`` stencil, the ``(-i)^l`` turn and the
+    fold act along theta; the p-kernels ``cos(q p)`` and ``-sin(q p)`` are
+    real and act along p, so the two commute.  The theta side runs once, on
+    the sinogram folded onto ``p >= 0``: its even part (the ``p = 0`` row of
+    an odd ``num_p`` included once) and ``i`` times its odd part.  For a real
+    sinogram the folded coefficients of the even part vanish where
+    ``sign_l = -1`` and those of the odd part where ``sign_l = +1``, so
+    harmonic ``l`` comes from one part alone: the even part carries the real
+    part of the series, the odd part its imaginary part, each with harmonics
+    of one parity only.  Per block of radii that leaves one real product of
+    each part with its kernel, and a Horner sum in ``e^{2i arg y}``.  Work
+    runs in blocks of radii, so memory stays at one block's worth.
     """
     dual = grid.dual()
-    half = grid.n // 2
-    k = np.arange(grid.n) - half
-    ksq = (k[:, None] ** 2 + k[None, :] ** 2).ravel()
+    n, half = grid.n, grid.n // 2
+    upper = np.zeros((n, n), dtype=bool)
+    upper[:, half + 1 :] = True
+    upper[half:, half] = True
+    points = np.flatnonzero(upper)
+    ix, iy = np.divmod(points, n)
+    ksq = (ix - half) ** 2 + (iy - half) ** 2
     order = np.argsort(ksq, kind="stable")
+    points = points[order]
     distinct, radius_index = np.unique(ksq[order], return_inverse=True)
     # band edge in units of the dual spacing; strict, since a radius on it
     # reaches the last row of the dual grid
@@ -190,26 +210,59 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     bounds = np.append(np.arange(0, in_band, _RADII_PER_BLOCK), in_band)
     radii = np.sqrt(distinct[:in_band]) * dual.spacing
     starts = np.searchsorted(radius_index, bounds)
-    out = np.zeros(grid.n * grid.n, dtype=complex)
+
+    # the theta side, once: the folded halves through DFT, stencil, turn and fold
+    zero = psi.num_p // 2  # first index with p >= 0
+    rest = psi.num_p - zero  # first index with p > 0
+    negative = psi.samples[zero - 1 :: -1]
+    even = psi.samples[zero:].copy()
+    even[rest - zero :] += negative
+    odd = 1j * (psi.samples[rest:] - negative)
+    coeffs = _tilde_table(np.concatenate([even, odd]), power)
+    lm = (coeffs.shape[0] - 1) // 2
+    coeffs *= (-1.0j) ** np.arange(-lm, lm + 1)[:, None]
+    signs = (-1.0) ** (np.arange(lm + 1) + psi.m + power)
+    coeffs = 0.5 * (coeffs[lm:] + signs[:, None] * np.conj(coeffs[lm::-1]))
+    coeffs[1:] *= 2.0  # t + sign_l conj(t) is twice a part of t
+    # [p, l] tables as float pairs, for real products with the kernels
+    parity = (psi.m + power) % 2  # of the harmonics with sign_l = +1
+    tables = (
+        np.ascontiguousarray(coeffs[parity::2, : even.shape[0]].T).view(float),
+        np.ascontiguousarray(coeffs[1 - parity :: 2, even.shape[0] :].T).view(float),
+    )
+    weights = _offset_weights(psi)[zero:] / (2.0 * np.pi)
+    nodes = psi.p_axis()[zero:]
+
+    out = np.zeros(n * n, dtype=complex)
     for b0, b1, first, last in zip(bounds[:-1], bounds[1:], starts[:-1], starts[1:]):
-        coeffs = _tilde_table(sinogram_transform_values(psi, radii[b0:b1]), power)
-        lm = (coeffs.shape[0] - 1) // 2
-        coeffs *= (-1.0j) ** np.arange(-lm, lm + 1)[:, None]
-        signs = (-1.0) ** (np.arange(lm + 1) + psi.m + power)
-        coeffs = 0.5 * (coeffs[lm:] + signs[:, None] * np.conj(coeffs[lm::-1]))
-        points = order[first:last]
+        phase = np.multiply.outer(radii[b0:b1], nodes)
+        kernels = (np.cos(phase), np.sin(phase[:, rest - zero :]))
+        del phase
+        np.multiply(kernels[0], weights, out=kernels[0])
+        np.multiply(kernels[1], -weights[rest - zero :], out=kernels[1])
+        pts = points[first:last]
         local = radius_index[first:last] - b0
-        kx, ky = np.divmod(points, grid.n)
+        kx, ky = np.divmod(pts, n)
+        kx -= half
+        ky -= half
         # e^{i arg y}; it reads 0 at y = 0, which leaves only l = 0 there
-        phase = (kx - half + 1j * (ky - half)) / np.sqrt(np.maximum(ksq[points], 1))
-        acc = coeffs[0, local]
-        turn = np.ones(points.size, dtype=complex)
-        for l in range(1, lm + 1):
-            turn *= phase
-            t = coeffs[l, local] * turn
-            acc += t + signs[l] * np.conj(t)
-        out[points] = acc
-    return out.reshape(grid.n, grid.n)
+        z = (kx + 1j * ky) / np.sqrt(np.maximum(kx**2 + ky**2, 1))
+        w = z * z
+        parts = []
+        for table, kernel, lowest in zip(tables, kernels, (parity, 1 - parity)):
+            by_l = np.ascontiguousarray((kernel @ table).view(complex).T)  # [l, radius]
+            acc = np.zeros(pts.size, dtype=complex)
+            for row in by_l[::-1]:
+                acc *= w
+                acc += row[local]
+            if lowest:
+                acc *= z
+            parts.append(acc)
+        values = parts[0].real + 1j * parts[1].imag
+        # in band, y and -y both sit inside the grid: flat index n(n+1) - i
+        out[n * (n + 1) - pts] = signs[0] * np.conj(values)
+        out[pts] = values
+    return out.reshape(n, n)
 
 
 def _range_warnings(psi: Sinogram) -> None:

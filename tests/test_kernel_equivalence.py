@@ -3,10 +3,12 @@
 Each reference below is the direct form of what a kernel computes, kept here
 as the oracle: the p-transform as a complex-exponential quadrature over every
 offset, the polar sampler as quintic splines prefiltered over the whole grid,
-the polar spectrum sampled over the full turn, and the divergence gate as
-spatial rows transformed back from their spectra.  The kernels fold, window,
-mirror or read off the spectrum that work; results must agree to rounding
-(relative 1e-13).
+the polar spectrum as the padded complex transform sampled over the full
+turn, the inversion series as the per-block transform of the whole sinogram
+summed harmonic by harmonic over every dual-grid point, and the divergence
+gate as spatial rows transformed back from their spectra.  The kernels fold,
+window, mirror or read off the spectrum that work; results must agree to
+rounding (relative 1e-13).
 """
 
 import numpy as np
@@ -20,13 +22,16 @@ from tensorray import (
     TensorField2D,
     component_spectrum_polar,
     field_l2_norm,
+    forward,
     gaussian_test_field,
     polar_sample,
     random_solenoidal_field,
     relative_divergence_residual,
 )
+from tensorray import inversion
 from tensorray.grids import fourier_transform_2d, pad_samples
-from tensorray.slices import sinogram_transform_values
+from tensorray.inversion import _quarter_turn_series
+from tensorray.slices import _tilde_table, sinogram_transform_values
 
 REL = 1e-13
 
@@ -56,13 +61,51 @@ def reference_polar_sample(values, grid, qs, phis):
     return spline(values.real) + 1j * spline(values.imag)
 
 
-def reference_spectrum_polar(f, j, pgrid, oversample=2, angle_offset=0.0):
-    """Every angle of the full turn sampled from the padded spectrum."""
+def reference_spectrum_polar(f, j, pgrid, oversample=2, angle_offset=0.0, turn=1.0):
+    """The padded complex spectrum sampled at the angles of the first ``turn`` turns."""
     big, big_grid = pad_samples(f.component(j), f.grid, oversample)
     spec = fourier_transform_2d(big, big_grid)
-    return polar_sample(
-        spec, big_grid.dual(), pgrid.radial_nodes(), pgrid.angular_nodes() + angle_offset
-    )
+    phis = pgrid.angular_nodes()[: round(turn * pgrid.ntheta)] + angle_offset
+    return polar_sample(spec, big_grid.dual(), pgrid.radial_nodes(), phis)
+
+
+def reference_quarter_turn_series(psi, grid, power, radii_per_block=512):
+    """The series over every dual-grid point, one block of radii at a time.
+
+    Per block: p-transform the whole sinogram, take its angular series,
+    stencil, turn and fold, then sum ``t + sign_l conj(t)`` harmonic by
+    harmonic at each point.
+    """
+    dual = grid.dual()
+    half = grid.n // 2
+    k = np.arange(grid.n) - half
+    ksq = (k[:, None] ** 2 + k[None, :] ** 2).ravel()
+    order = np.argsort(ksq, kind="stable")
+    distinct, radius_index = np.unique(ksq[order], return_inverse=True)
+    edge = min(half - 1, np.pi / psi.dp / dual.spacing)
+    in_band = int(np.searchsorted(distinct, edge**2))
+    bounds = np.append(np.arange(0, in_band, radii_per_block), in_band)
+    radii = np.sqrt(distinct[:in_band]) * dual.spacing
+    starts = np.searchsorted(radius_index, bounds)
+    out = np.zeros(grid.n * grid.n, dtype=complex)
+    for b0, b1, first, last in zip(bounds[:-1], bounds[1:], starts[:-1], starts[1:]):
+        coeffs = _tilde_table(sinogram_transform_values(psi, radii[b0:b1]), power)
+        lm = (coeffs.shape[0] - 1) // 2
+        coeffs *= (-1.0j) ** np.arange(-lm, lm + 1)[:, None]
+        signs = (-1.0) ** (np.arange(lm + 1) + psi.m + power)
+        coeffs = 0.5 * (coeffs[lm:] + signs[:, None] * np.conj(coeffs[lm::-1]))
+        points = order[first:last]
+        local = radius_index[first:last] - b0
+        kx, ky = np.divmod(points, grid.n)
+        phase = (kx - half + 1j * (ky - half)) / np.sqrt(np.maximum(ksq[points], 1))
+        acc = coeffs[0, local]
+        turn = np.ones(points.size, dtype=complex)
+        for l in range(1, lm + 1):
+            turn *= phase
+            t = coeffs[l, local] * turn
+            acc += t + signs[l] * np.conj(t)
+        out[points] = acc
+    return out.reshape(grid.n, grid.n)
 
 
 def reference_divergence_residual(f):
@@ -128,6 +171,130 @@ class TestHalfTurnSpectrum:
             ref = reference_spectrum_polar(f, j, pgrid, angle_offset=angle_offset)
             assert got.shape == ref.shape == (40, 30)
             assert relative_gap(got, ref) < REL
+
+
+class TestSpectrumWindow:
+    # The window is computed from the real component alone; at n = 128 the
+    # padded dual grid has half-width pi / h = 25.13 at every oversample.
+    # The first half turn is compared: next to the grid edge the spline
+    # depends on which edge a node is near, so there the second half turn,
+    # the first one's conjugate, differs from direct sampling by more than
+    # rounding; the field must decay well inside the grid to avoid that.
+    @pytest.mark.parametrize("oversample", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "qmax, angle_offset",
+        [(2.0, 0.0), (8.0, np.pi / 2), (8.0, 2.0), (12.5, 0.0), (25.0, 0.3), (25.1, np.pi / 2)],
+        ids=["interior", "slice-checks", "lower-half", "half-band", "near-edge", "clipped"],
+    )
+    def test_matches_padded_transform(self, oversample, qmax, angle_offset, grid128):
+        f = random_solenoidal_field(2, grid128, seed=5)
+        pgrid = PolarFrequencyGrid(nq=48, qmax=qmax, ntheta=26)
+        for j in (0, 2):
+            got = component_spectrum_polar(
+                f, j, pgrid, oversample=oversample, angle_offset=angle_offset
+            )
+            ref = reference_spectrum_polar(
+                f, j, pgrid, oversample=oversample, angle_offset=angle_offset, turn=0.5
+            )
+            assert relative_gap(got[:, :13], ref) < REL
+
+    @pytest.mark.parametrize("angle_offset", [np.pi, 1.5 * np.pi, 0.25 * np.pi])
+    def test_one_sided_windows(self, angle_offset, grid128):
+        # one node at q = 15, 76 samples from the centre: its window (48
+        # samples on each side) lies wholly on one side of kx = 0 or ky = 0.
+        # The spectrum has decayed there, so the gap is measured against the
+        # transform's bound h^2 / 2pi * sum |f_1|.
+        f = random_solenoidal_field(1, grid128, seed=6)
+        pgrid = PolarFrequencyGrid(nq=1, qmax=30.0, ntheta=2)
+        got = component_spectrum_polar(f, 1, pgrid, angle_offset=angle_offset)
+        ref = reference_spectrum_polar(f, 1, pgrid, angle_offset=angle_offset, turn=0.5)
+        bound = grid128.spacing**2 / (2.0 * np.pi) * np.abs(f.components[1]).sum()
+        assert np.abs(got[:, :1] - ref).max() < REL * bound
+
+    def test_raises_before_any_transform(self, monkeypatch, grid64):
+        def refuse(*args, **kwargs):
+            raise AssertionError("transformed before checking the nodes")
+
+        f = random_solenoidal_field(1, grid64, seed=2)
+        for name in ("fft", "rfft", "fft2", "rfft2"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        # the padded dual grid of n = 64, R = 8 reaches 4 pi = 12.57; the
+        # last radial node sits at 15.5 / 16 x 14 = 13.56
+        pgrid = PolarFrequencyGrid(nq=16, qmax=14.0, ntheta=8)
+        with pytest.raises(ValueError, match="exceeds the grid extent"):
+            component_spectrum_polar(f, 1, pgrid)
+
+    def test_peak_memory_below_one_padded_spectrum(self, grid128):
+        import tracemalloc
+
+        # the slice checks' half turn on qmax = R at n = 128: the padded
+        # complex spectrum alone would be 256^2 x 16 B = 1.05 MB; measured
+        # 0.83 MB, against 3.15 MB for the padded transform and sampling
+        f = random_solenoidal_field(2, grid128, seed=3)
+        pgrid = PolarFrequencyGrid(nq=128, qmax=grid128.radius, ntheta=64)
+        component_spectrum_polar(f, 2, pgrid, angle_offset=np.pi / 2)  # warm FFT caches
+        tracemalloc.start()
+        try:
+            component_spectrum_polar(f, 2, pgrid, angle_offset=np.pi / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * grid128.n) ** 2 * 16
+
+
+def _noise_sinogram(m, num_p, ntheta=32, seed=0):
+    # no parity in p and no moment structure: not range data
+    rng = np.random.default_rng(100 * m + num_p + seed)
+    return Sinogram(m=m, pmax=8.0, samples=rng.standard_normal((num_p, ntheta)))
+
+
+class TestHalfPlaneSeries:
+    @pytest.mark.parametrize("num_p", [64, 65])
+    @pytest.mark.parametrize("m, power", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2), (3, 0), (3, 3)])
+    def test_matches_full_plane_loop_on_noise(self, m, power, num_p, grid64):
+        psi = _noise_sinogram(m, num_p)
+        got = _quarter_turn_series(psi, grid64, power)
+        assert relative_gap(got, reference_quarter_turn_series(psi, grid64, power)) < REL
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_full_plane_loop_on_range_data(self, m, grid128):
+        f = random_solenoidal_field(m, grid128, seed=40 + m)
+        psi = forward(f, num_p=129, ntheta=64)
+        for power in (0, m):
+            got = _quarter_turn_series(psi, grid128, power)
+            ref = reference_quarter_turn_series(psi, grid128, power)
+            assert relative_gap(got, ref) < REL
+
+    def test_small_theta_grid_keeps_only_low_harmonics(self, grid64):
+        # ntheta = 4 leaves l <= 1 at power 0 and l = 0 alone at power 1
+        psi = _noise_sinogram(1, 33, ntheta=4)
+        for power in (0, 1):
+            got = _quarter_turn_series(psi, grid64, power)
+            assert relative_gap(got, reference_quarter_turn_series(psi, grid64, power)) < REL
+
+    def test_block_count_changes_neither_values_nor_transforms(self, monkeypatch, grid64):
+        # the theta side runs once per call: per-block transforms would make
+        # the FFT count grow with the number of radius blocks
+        psi = _noise_sinogram(2, 65)
+        ref = reference_quarter_turn_series(psi, grid64, 2, radii_per_block=37)
+        counts = []
+        for block in (512, 37, 5):
+            calls = []
+            for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "fftn", "ifftn"):
+                original = getattr(np.fft, name)
+
+                def counted(*args, _original=original, **kwargs):
+                    calls.append(1)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(inversion, "_RADII_PER_BLOCK", block)
+            got = _quarter_turn_series(psi, grid64, 2)
+            monkeypatch.undo()
+            assert relative_gap(got, ref) < REL
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 3
 
 
 class TestSpectralDivergenceGate:
