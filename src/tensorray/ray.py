@@ -8,19 +8,22 @@ tensor and integrates along the line:
     psi(p, theta) = integral over t of
         sum_j C(m, j) f_j(p*(-sin,cos) + t*xi) cos^(m-j)(theta) sin^j(theta)
 
-The integrand is the field's interpolating cubic spline (coefficients from
-one prefilter per component; outside the grid square it reads as zero).  The
-quadrature follows Joseph's scheme: each line is sampled where it crosses a
-set of columns perpendicular to the grid axis closer to ``xi`` (x when
-``|cos| >= |sin|``).  By default these are the grid's own columns, ``h``
-apart, and each sample is weighted by the step between columns along the
-line, ``h / max(|cos|, |sin|)``; an explicit ``t_step`` spaces the columns so
-that consecutive samples lie ``t_step`` apart along the line and weights them
-by ``t_step``.  On a column the spline's four B-spline weights along the
-walking axis are fixed, so each angle collapses the coefficients once into
-one row per column and every line sample is a 4-tap 1D spline evaluation
-across it.  Only columns inside the grid are built and samples off the grid
-are never evaluated.
+The integrand is the field's interpolating cubic spline (outside the grid
+square it reads as zero).  The quadrature follows Joseph's scheme: each line
+is sampled where it crosses a set of columns perpendicular to the grid axis
+closer to ``xi`` (x when ``|cos| >= |sin|``).  By default these are the
+grid's own columns, ``h`` apart, and each sample is weighted by the step
+between columns along the line, ``h / max(|cos|, |sin|)``.  On a grid column
+the spline's B-spline weights along the walking axis (1/6, 4/6, 1/6) undo
+that axis's prefilter, so the spline restricted to the column is the 1D
+spline of the samples across it.  Each component is therefore prefiltered
+once per call across the columns of either walking axis; an angle combines
+those rows with its trigonometric weights, and every line sample is a 4-tap
+1D spline evaluation across one row.  An explicit ``t_step`` spaces the
+columns so that consecutive samples lie ``t_step`` apart along the line and
+weights them by ``t_step``; only then does an angle collapse the 2D spline's
+coefficients (the rows prefiltered along the walking axis too) with four
+B-spline weights per column.  Samples off the grid read exactly zero.
 
 At desk scale (n = 256, R = 8) the default samples 256 columns per angle
 where a step of ``h/2`` samples 512-724.  Against a step of ``h/4`` it moves
@@ -144,7 +147,8 @@ def forward(
     f : TensorField2D
         Source field, decayed at the grid boundary.
     num_p, ntheta : int
-        Offset and angle sample counts (``ntheta`` even).
+        Offset and angle sample counts (``ntheta`` even), Python or NumPy
+        integers.
     pmax : float, optional
         Offset range bound.  Defaults to the grid radius; values below it are
         rejected because such lines would be truncated inside the support,
@@ -157,11 +161,19 @@ def forward(
         columns are then ``t_step`` times the larger of ``|cos theta|`` and
         ``|sin theta|`` apart and each sample is weighted by ``t_step``.
 
-    The ``ntheta // 2`` angles below ``pi`` are projected; the rest are
-    their mirror ``(-1)^m psi(-p, theta)``, so the output satisfies the
-    parity exactly.  Every argument is validated before any projection.
+    Each component is prefiltered once per call across the columns of
+    either walking axis; an angle combines those rows and evaluates a 4-tap
+    spline across them.  Only an explicit ``t_step`` builds the 2D spline and
+    collapses its walking axis at every angle.  The ``ntheta // 2`` angles
+    below ``pi`` are projected; the rest are their mirror
+    ``(-1)^m psi(-p, theta)``, so the output satisfies the parity exactly.
+    Every argument is validated before any prefilter or projection; the
+    sample counts must be integers (``bool`` is not).
     """
     grid = f.grid
+    for name, count in (("num_p", num_p), ("ntheta", ntheta)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if pmax is None:
         pmax = grid.radius
     if not np.isfinite(pmax):
@@ -183,19 +195,43 @@ def forward(
     h = grid.spacing
     radius = grid.radius
     n = grid.n
-    # spline coefficients padded by one mirrored sample before and two after
-    # each axis (the taps ``mode="constant"`` reads next to the edges), once
-    # with x and once with y as the leading (walking) axis
-    walking_x = np.pad(
-        np.stack([ndimage.spline_filter(c, order=3, mode="constant") for c in f.components]),
-        ((0, 0), (1, 2), (1, 2)),
-        mode="reflect",
+    half = ntheta // 2
+
+    # each component's 1D spline coefficients across the columns of either
+    # walking axis (walking x they run across y, walking y across x), one row
+    # per column, padded by one mirrored coefficient before and two after:
+    # the taps ``mode="constant"`` reads next to the edges
+    walking_x, walking_y = (
+        np.pad(
+            np.stack([ndimage.spline_filter1d(c, order=3, mode="constant") for c in comps]),
+            ((0, 0), (0, 0), (1, 2)),
+            mode="reflect",
+        )
+        for comps in (f.components, f.components.transpose(0, 2, 1))
     )
-    walking_y = np.ascontiguousarray(walking_x.transpose(0, 2, 1))
+    if t_step is not None:
+        # the 2D spline's coefficients, padded along the walking axis too
+        walking_x, walking_y = (
+            np.pad(
+                ndimage.spline_filter1d(rows, order=3, axis=1, mode="constant"),
+                ((0, 0), (1, 2), (0, 0)),
+                mode="reflect",
+            )
+            for rows in (walking_x, walking_y)
+        )
     powers = np.arange(f.m + 1)
     weights = tensor_weights(f.m)
+    # the grid's own columns and where each one's row starts in the flattened
+    # rows (its first in-grid coefficient); buffers reused by every angle
+    columns = grid.axis()
+    row_starts = 1.0 + (n + 3) * np.arange(n)
+    rows = np.empty(n * (n + 3))
+    coords = np.empty((num_p, n))
+    vals = np.empty(num_p * n)
+    first = np.empty((num_p, half))
 
-    def project_angle(theta: float) -> np.ndarray:
+    for j in range(half):
+        theta = 2.0 * np.pi * j / ntheta
         c, s = np.cos(theta), np.sin(theta)
         trig = weights * c ** (f.m - powers) * s**powers
         # walking x, the line meets column x_k at y = p/c + x_k s/c; walking
@@ -204,43 +240,46 @@ def forward(
             along, across, offsets, padded = c, s, ps, walking_x
         else:
             along, across, offsets, padded = s, c, -ps, walking_y
-        plane = np.tensordot(trig, padded, axes=(0, 0))
-        # each sample weighs the step along the line to the next column
         if t_step is None:
-            dx, weight = h, h / abs(along)
+            # at a grid column the spline's weights along the walking axis
+            # (1/6, 4/6, 1/6) undo that axis's prefilter: its rows are the
+            # rows above, combined with this angle's weights
+            walk, weight, starts = columns, h / abs(along), row_starts
+            coords_out, vals_out = coords, vals
+            line_rows = np.dot(trig, padded.reshape(f.m + 1, -1), out=rows)
         else:
+            # columns t_step |along| apart, between the grid's: collapse the
+            # walking axis into one padded 1D spline row per column, in
+            # blocks of columns so the gathered coefficient rows stay small
+            plane = np.tensordot(trig, padded, axes=(0, 0))
             dx, weight = t_step * abs(along), t_step
-        ks = np.arange(np.ceil(-radius / dx), np.floor((radius - h) / dx) + 1.0)
-        walk = ks * dx
-        u = (walk + radius) / h
-        keep = (u >= 0) & (u <= n - 1)  # rounding at the grid edges
-        walk, u = walk[keep], u[keep]
-        ncol = u.size
-
-        # collapse the walking axis: one padded 1D spline row per column,
-        # in blocks of columns so the gathered coefficient rows stay small
-        i0 = np.floor(u)
-        taps = _cubic_taps(u - i0)
-        window = i0.astype(np.intp)[:, None] + np.arange(4)
-        rows = np.empty((ncol, n + 3))
-        for start in range(0, ncol, 64):
-            block = slice(start, start + 64)
-            rows[block] = np.einsum("ka,kaj->kj", taps[block], plane[window[block]])
+            ks = np.arange(np.ceil(-radius / dx), np.floor((radius - h) / dx) + 1.0)
+            walk = ks * dx
+            u = (walk + radius) / h
+            keep = (u >= 0) & (u <= n - 1)  # rounding at the grid edges
+            walk, u = walk[keep], u[keep]
+            i0 = np.floor(u)
+            taps = _cubic_taps(u - i0)
+            window = i0.astype(np.intp)[:, None] + np.arange(4)
+            line_rows = np.empty((u.size, n + 3))
+            for start in range(0, u.size, 64):
+                block = slice(start, start + 64)
+                line_rows[block] = np.einsum("ka,kaj->kj", taps[block], plane[window[block]])
+            starts = 1.0 + (n + 3) * np.arange(u.size)
+            coords_out = vals_out = None
 
         # cross-axis index of every (line, column) sample; off-grid samples
         # are sent outside the flattened rows, where they read exactly zero
-        v = np.add.outer(offsets / (along * h), (walk * across / along + radius) / h)
+        v = np.add.outer(offsets / (along * h), (walk * across / along + radius) / h, out=coords_out)
         off_grid = (v < 0) | (v > n - 1)
-        v += 1.0 + (n + 3) * np.arange(ncol)
+        v += starts
         v[off_grid] = -1.0
-        vals = ndimage.map_coordinates(
-            rows.ravel(), v.reshape(1, -1), order=3, mode="constant", cval=0.0,
-            prefilter=False,
+        line = ndimage.map_coordinates(
+            line_rows.ravel(), v.reshape(1, -1), output=vals_out, order=3, mode="constant",
+            cval=0.0, prefilter=False,
         )
-        return weight * vals.reshape(num_p, ncol).sum(axis=1)
+        first[:, j] = weight * line.reshape(num_p, -1).sum(axis=1)
 
-    thetas = 2.0 * np.pi * np.arange(ntheta // 2) / ntheta
-    first = np.stack([project_angle(theta) for theta in thetas], axis=1)
     # psi(-p, theta + pi) = (-1)^m psi(p, theta), and ps[::-1] == -ps exactly;
     # 0.0 - x rather than -x keeps the zeros unsigned, as projecting gives them
     mirror = first[::-1] if f.m % 2 == 0 else 0.0 - first[::-1]

@@ -5,10 +5,12 @@ as the oracle: the p-transform as a complex-exponential quadrature over every
 offset, the polar sampler as quintic splines prefiltered over the whole grid,
 the polar spectrum as the padded complex transform sampled over the full
 turn, the inversion series as the per-block transform of the whole sinogram
-summed harmonic by harmonic over every dual-grid point, and the divergence
-gate as spatial rows transformed back from their spectra.  The kernels fold,
-window, mirror or read off the spectrum that work; results must agree to
-rounding (relative 1e-13).
+summed harmonic by harmonic over every dual-grid point, the divergence
+gate as spatial rows transformed back from their spectra, and the projector
+as the 2D spline collapsed along the walking axis at every angle.  The
+kernels fold, window, mirror or read off the spectrum that work, or build
+the projector's rows once per call; results must agree to rounding
+(relative 1e-13, and 1e-14 for the projector on decayed fields).
 """
 
 import numpy as np
@@ -29,8 +31,10 @@ from tensorray import (
     relative_divergence_residual,
 )
 from tensorray import inversion
+from tensorray.fields import tensor_weights
 from tensorray.grids import fourier_transform_2d, pad_samples
 from tensorray.inversion import _quarter_turn_series
+from tensorray.ray import _cubic_taps, _p_axis
 from tensorray.slices import _tilde_table, sinogram_transform_values
 
 REL = 1e-13
@@ -117,6 +121,58 @@ def reference_divergence_residual(f):
     h = f.grid.spacing
     norms = [np.sqrt(h * h * np.sum(row**2)) for row in rows]
     return max(norms) / field_l2_norm(f)
+
+
+def reference_forward(f, num_p, ntheta, pmax=None, t_step=None):
+    """The 2D spline collapsed along the walking axis at every angle.
+
+    One 2D prefilter per component, padded by one mirrored coefficient
+    before and two after each axis; per angle the trig-weighted plane is
+    collapsed with the cubic B-spline taps of each column into one row, and
+    every line sample is a 4-tap 1D spline evaluation across it.  The second
+    half turn is the first one mirrored.
+    """
+    grid = f.grid
+    pmax = grid.radius if pmax is None else pmax
+    h, radius, n = grid.spacing, grid.radius, grid.n
+    ps = _p_axis(pmax, num_p)
+    walking_x = np.pad(
+        np.stack([ndimage.spline_filter(c, order=3, mode="constant") for c in f.components]),
+        ((0, 0), (1, 2), (1, 2)),
+        mode="reflect",
+    )
+    walking_y = walking_x.transpose(0, 2, 1)
+    powers = np.arange(f.m + 1)
+    first = []
+    for theta in 2.0 * np.pi * np.arange(ntheta // 2) / ntheta:
+        c, s = np.cos(theta), np.sin(theta)
+        trig = tensor_weights(f.m) * c ** (f.m - powers) * s**powers
+        if abs(c) >= abs(s):
+            along, across, offsets, padded = c, s, ps, walking_x
+        else:
+            along, across, offsets, padded = s, c, -ps, walking_y
+        plane = np.tensordot(trig, padded, axes=(0, 0))
+        if t_step is None:
+            dx, weight = h, h / abs(along)
+        else:
+            dx, weight = t_step * abs(along), t_step
+        walk = dx * np.arange(np.ceil(-radius / dx), np.floor((radius - h) / dx) + 1.0)
+        u = (walk + radius) / h
+        keep = (u >= 0) & (u <= n - 1)
+        walk, u = walk[keep], u[keep]
+        i0 = np.floor(u)
+        window = i0.astype(np.intp)[:, None] + np.arange(4)
+        rows = np.einsum("ka,kaj->kj", _cubic_taps(u - i0), plane[window])
+        v = np.add.outer(offsets / (along * h), (walk * across / along + radius) / h)
+        off_grid = (v < 0) | (v > n - 1)
+        v += 1.0 + (n + 3) * np.arange(u.size)
+        v[off_grid] = -1.0
+        vals = ndimage.map_coordinates(
+            rows.ravel(), v.reshape(1, -1), order=3, mode="constant", cval=0.0, prefilter=False
+        )
+        first.append(weight * vals.reshape(num_p, -1).sum(axis=1))
+    first = np.stack(first, axis=1)
+    return np.concatenate([first, (-1.0) ** f.m * first[::-1]], axis=1)
 
 
 class TestFoldedPTransform:
@@ -349,3 +405,43 @@ class TestSpectralDivergenceGate:
         monkeypatch.setattr(np.fft, "ifft2", refuse)
         assert relative_divergence_residual(f) == expected
         assert len(calls) == m + 1
+
+
+def _decayed_field(m, grid):
+    if m == 0:
+        return gaussian_test_field(0, "generic", grid)
+    return random_solenoidal_field(m, grid, seed=30 + m)
+
+
+class TestColumnProjector:
+    # rows built once per call against the per-angle collapse of the 2D
+    # spline: at a grid column the collapse returns the 1D prefilter across
+    # it, up to rounding
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "num_p, ntheta, pmax", [(257, 128, None), (256, 90, None), (33, 30, 11.0)],
+        ids=["desk", "even-np", "beyond-radius"],
+    )
+    def test_matches_2d_collapse_on_decayed_fields(self, m, num_p, ntheta, pmax, grid256):
+        f = _decayed_field(m, grid256)
+        got = forward(f, num_p=num_p, ntheta=ntheta, pmax=pmax).samples
+        ref = reference_forward(f, num_p, ntheta, pmax)
+        assert relative_gap(got, ref) < 1e-14
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_matches_2d_collapse_on_noise(self, m):
+        # R / h = 48 is not a binary fraction at n = 96, so the reference's
+        # columns land next to, not on, the grid's
+        rng = np.random.default_rng(60 + m)
+        grid = CartesianGrid(n=96, radius=8.0)
+        f = TensorField2D(m=m, grid=grid, components=rng.standard_normal((m + 1, 96, 96)))
+        got = forward(f, num_p=97, ntheta=32).samples
+        assert relative_gap(got, reference_forward(f, 97, 32)) < 1e-12
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("t_step_in_h", [0.5, 0.3])
+    def test_explicit_step_matches_2d_collapse(self, m, t_step_in_h, grid128):
+        f = _decayed_field(m, grid128)
+        dt = t_step_in_h * grid128.spacing
+        got = forward(f, num_p=129, ntheta=32, t_step=dt).samples
+        assert relative_gap(got, reference_forward(f, 129, 32, t_step=dt)) < 1e-14

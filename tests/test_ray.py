@@ -133,6 +133,63 @@ class TestForward:
         with pytest.raises(ValueError, match=match):
             forward(gaussian_test_field(0, "generic", grid64), **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"num_p": 33.0}, "num_p must be an integer"),
+            ({"num_p": np.float64(33.0)}, "num_p must be an integer"),
+            ({"num_p": True}, "num_p must be an integer"),
+            ({"num_p": "33"}, "num_p must be an integer"),
+            ({"ntheta": 8.0}, "ntheta must be an integer"),
+            ({"ntheta": np.True_}, "ntheta must be an integer"),
+            ({"ntheta": 8.5}, "ntheta must be an integer"),
+        ],
+        ids=["num_p-float", "num_p-np-float", "num_p-bool", "num_p-str",
+             "ntheta-float", "ntheta-np-bool", "ntheta-fraction"],
+    )
+    def test_non_integer_counts_rejected_before_prefiltering(
+        self, kwargs, match, grid64, monkeypatch
+    ):
+        def no_work(*args, **kw):
+            raise AssertionError("forward prefiltered or projected before validating")
+
+        monkeypatch.setattr("tensorray.ray.ndimage.map_coordinates", no_work)
+        monkeypatch.setattr("tensorray.ray.ndimage.spline_filter1d", no_work)
+        with pytest.raises(ValueError, match=match):
+            forward(gaussian_test_field(0, "generic", grid64), **kwargs)
+
+    def test_numpy_integer_counts_accepted(self, grid64):
+        f = gaussian_test_field(1, "solenoidal", grid64)
+        expected = forward(f, num_p=33, ntheta=8).samples
+        got = forward(f, num_p=np.int64(33), ntheta=np.int32(8)).samples
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_default_path_builds_rows_once_per_call(self, m, grid64, monkeypatch):
+        # one 1D prefilter per component and walking axis, no 2D prefilter,
+        # no per-angle collapse of the walking axis, one spline pass per angle
+        f = random_solenoidal_field(m, grid64, seed=10 + m)
+        expected = forward(f, num_p=21, ntheta=12).samples
+        calls = {"spline_filter1d": 0, "spline_filter": 0, "map_coordinates": 0, "einsum": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("spline_filter1d", "spline_filter", "map_coordinates"):
+            counted(ndimage, name)
+        counted(np, "einsum")
+        got = forward(f, num_p=21, ntheta=12).samples
+        assert np.array_equal(got, expected)
+        assert calls == {
+            "spline_filter1d": 2 * (m + 1), "spline_filter": 0, "map_coordinates": 6, "einsum": 0,
+        }
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_kernel_annihilates_potential_parts(self, m, grid128):
         f = gaussian_test_field(m, "generic", grid128)
