@@ -39,10 +39,19 @@ construction; :func:`parity_residual` measures the violation for arbitrary
 sinograms.  The quadrature itself is checked by its own oracles: the
 Gaussian and closed-form rank-m anchors, convergence in ``t_step`` and the
 2D-spline sampling of every angle from that angle's geometry.
+
+The angles do not depend on each other, and the spline pass releases the
+GIL, so a call splits its half turn over up to ``min(CPUs available, 4)``
+threads: angle ``j`` goes to thread ``j % workers``, the calling thread
+included.  Each thread owns three buffers of about ``num_p * n`` floats
+(1.6 MB together at desk scale).  Every angle is computed the same way on
+any thread, so the sinogram is byte-identical whatever the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +109,24 @@ class Sinogram:
 
     def theta_axis(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.ntheta) / self.ntheta
+
+
+# at most this many threads project a call's angles: each holds its own
+# buffers of about 3 * num_p * n floats (1.6 MB at desk scale)
+_MAX_WORKERS = 4
+
+
+def _worker_count(angles: int) -> int:
+    """Threads that project ``angles`` angles.
+
+    As many as the CPUs this process may run on, but at most
+    ``_MAX_WORKERS`` and at most one per angle.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS, angles)
 
 
 def _p_axis(pmax: float, num_p: int) -> np.ndarray:
@@ -169,6 +196,11 @@ def forward(
     ``(-1)^m psi(-p, theta)``, so the output satisfies the parity exactly.
     Every argument is validated before any prefilter or projection; the
     sample counts must be integers (``bool`` is not).
+
+    The angles are split over up to ``min(CPUs available, 4, ntheta // 2)``
+    threads, each with its own buffers (``3 * num_p * n`` floats, 1.6 MB at
+    desk scale); the output is byte-identical for any thread count.  An
+    error on any thread is raised here, after every thread has stopped.
     """
     grid = f.grid
     for name, count in (("num_p", num_p), ("ntheta", ntheta)):
@@ -222,63 +254,86 @@ def forward(
     powers = np.arange(f.m + 1)
     weights = tensor_weights(f.m)
     # the grid's own columns and where each one's row starts in the flattened
-    # rows (its first in-grid coefficient); buffers reused by every angle
+    # rows (its first in-grid coefficient)
     columns = grid.axis()
     row_starts = 1.0 + (n + 3) * np.arange(n)
-    rows = np.empty(n * (n + 3))
-    coords = np.empty((num_p, n))
-    vals = np.empty(num_p * n)
     first = np.empty((num_p, half))
 
-    for j in range(half):
-        theta = 2.0 * np.pi * j / ntheta
-        c, s = np.cos(theta), np.sin(theta)
-        trig = weights * c ** (f.m - powers) * s**powers
-        # walking x, the line meets column x_k at y = p/c + x_k s/c; walking
-        # y, at x = -p/s + y_k c/s
-        if abs(c) >= abs(s):
-            along, across, offsets, padded = c, s, ps, walking_x
-        else:
-            along, across, offsets, padded = s, c, -ps, walking_y
-        if t_step is None:
-            # at a grid column the spline's weights along the walking axis
-            # (1/6, 4/6, 1/6) undo that axis's prefilter: its rows are the
-            # rows above, combined with this angle's weights
-            walk, weight, starts = columns, h / abs(along), row_starts
-            coords_out, vals_out = coords, vals
-            line_rows = np.dot(trig, padded.reshape(f.m + 1, -1), out=rows)
-        else:
-            # columns t_step |along| apart, between the grid's: collapse the
-            # walking axis into one padded 1D spline row per column, in
-            # blocks of columns so the gathered coefficient rows stay small
-            plane = np.tensordot(trig, padded, axes=(0, 0))
-            dx, weight = t_step * abs(along), t_step
-            ks = np.arange(np.ceil(-radius / dx), np.floor((radius - h) / dx) + 1.0)
-            walk = ks * dx
-            u = (walk + radius) / h
-            keep = (u >= 0) & (u <= n - 1)  # rounding at the grid edges
-            walk, u = walk[keep], u[keep]
-            i0 = np.floor(u)
-            taps = _cubic_taps(u - i0)
-            window = i0.astype(np.intp)[:, None] + np.arange(4)
-            line_rows = np.empty((u.size, n + 3))
-            for start in range(0, u.size, 64):
-                block = slice(start, start + 64)
-                line_rows[block] = np.einsum("ka,kaj->kj", taps[block], plane[window[block]])
-            starts = 1.0 + (n + 3) * np.arange(u.size)
-            coords_out = vals_out = None
+    def project(angles: range, rows: np.ndarray, coords: np.ndarray, vals: np.ndarray) -> None:
+        # fills first[:, j] for each angle j, reusing the three buffers; runs
+        # on worker threads, so it calls numpy and scipy only (and the
+        # private _cubic_taps), never a traced function
+        for j in angles:
+            theta = 2.0 * np.pi * j / ntheta
+            c, s = np.cos(theta), np.sin(theta)
+            trig = weights * c ** (f.m - powers) * s**powers
+            # walking x, the line meets column x_k at y = p/c + x_k s/c;
+            # walking y, at x = -p/s + y_k c/s
+            if abs(c) >= abs(s):
+                along, across, offsets, padded = c, s, ps, walking_x
+            else:
+                along, across, offsets, padded = s, c, -ps, walking_y
+            if t_step is None:
+                # at a grid column the spline's weights along the walking
+                # axis (1/6, 4/6, 1/6) undo that axis's prefilter: its rows
+                # are the rows above, combined with this angle's weights
+                walk, weight, starts = columns, h / abs(along), row_starts
+                coords_out, vals_out = coords, vals
+                line_rows = np.dot(trig, padded.reshape(f.m + 1, -1), out=rows)
+            else:
+                # columns t_step |along| apart, between the grid's: collapse
+                # the walking axis into one padded 1D spline row per column,
+                # in blocks of columns so the gathered coefficient rows stay
+                # small
+                plane = np.tensordot(trig, padded, axes=(0, 0))
+                dx, weight = t_step * abs(along), t_step
+                ks = np.arange(np.ceil(-radius / dx), np.floor((radius - h) / dx) + 1.0)
+                walk = ks * dx
+                u = (walk + radius) / h
+                keep = (u >= 0) & (u <= n - 1)  # rounding at the grid edges
+                walk, u = walk[keep], u[keep]
+                i0 = np.floor(u)
+                taps = _cubic_taps(u - i0)
+                window = i0.astype(np.intp)[:, None] + np.arange(4)
+                line_rows = np.empty((u.size, n + 3))
+                for start in range(0, u.size, 64):
+                    block = slice(start, start + 64)
+                    line_rows[block] = np.einsum("ka,kaj->kj", taps[block], plane[window[block]])
+                starts = 1.0 + (n + 3) * np.arange(u.size)
+                coords_out = vals_out = None
 
-        # cross-axis index of every (line, column) sample; off-grid samples
-        # are sent outside the flattened rows, where they read exactly zero
-        v = np.add.outer(offsets / (along * h), (walk * across / along + radius) / h, out=coords_out)
-        off_grid = (v < 0) | (v > n - 1)
-        v += starts
-        v[off_grid] = -1.0
-        line = ndimage.map_coordinates(
-            line_rows.ravel(), v.reshape(1, -1), output=vals_out, order=3, mode="constant",
-            cval=0.0, prefilter=False,
-        )
-        first[:, j] = weight * line.reshape(num_p, -1).sum(axis=1)
+            # cross-axis index of every (line, column) sample; off-grid
+            # samples are sent outside the flattened rows, where they read
+            # exactly zero
+            v = np.add.outer(
+                offsets / (along * h), (walk * across / along + radius) / h, out=coords_out
+            )
+            off_grid = (v < 0) | (v > n - 1)
+            v += starts
+            v[off_grid] = -1.0
+            line = ndimage.map_coordinates(
+                line_rows.ravel(), v.reshape(1, -1), output=vals_out, order=3, mode="constant",
+                cval=0.0, prefilter=False,
+            )
+            first[:, j] = weight * line.reshape(num_p, -1).sum(axis=1)
+
+    # angle j goes to chunk j % workers, so every chunk walks both axes; each
+    # chunk gets its own buffers, allocated here, and writes its own columns
+    # of ``first``.  Every angle is computed the same way on any thread, so
+    # the output does not depend on the worker count.
+    workers = _worker_count(half)
+    chunks = [
+        (range(k, half, workers), np.empty(n * (n + 3)), np.empty((num_p, n)), np.empty(num_p * n))
+        for k in range(workers)
+    ]
+    if workers == 1:
+        project(*chunks[0])
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(project, *chunk) for chunk in chunks[1:]]
+            project(*chunks[0])
+            for future in futures:
+                future.result()
 
     # psi(-p, theta + pi) = (-1)^m psi(p, theta), and ps[::-1] == -ps exactly;
     # 0.0 - x rather than -x keeps the zeros unsigned, as projecting gives them

@@ -1,5 +1,7 @@
 """Forward projector: analytic anchors, parity, linearity, kernel."""
 
+import os
+import threading
 from math import comb
 
 import numpy as np
@@ -15,6 +17,7 @@ from tensorray import (
     random_solenoidal_field,
     solenoidal_project,
 )
+from tensorray import ray
 
 
 def off_centre_gaussian(grid, width, centre):
@@ -171,12 +174,14 @@ class TestForward:
         f = random_solenoidal_field(m, grid64, seed=10 + m)
         expected = forward(f, num_p=21, ntheta=12).samples
         calls = {"spline_filter1d": 0, "spline_filter": 0, "map_coordinates": 0, "einsum": 0}
+        lock = threading.Lock()  # worker threads call map_coordinates too
 
         def counted(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with lock:
+                    calls[name] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
@@ -208,6 +213,71 @@ class TestForward:
         a = forward(f, num_p=129, ntheta=64).samples
         b = forward(solenoidal_project(f), num_p=129, ntheta=64).samples
         assert np.abs(a - b).max() / np.abs(a).max() < 1e-3
+
+
+class TestWorkers:
+    """Angles are split over threads; the output never depends on how many."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("t_step_in_h", [None, 0.5])
+    def test_worker_count_changes_no_byte(self, m, t_step_in_h, grid64, monkeypatch):
+        f = random_solenoidal_field(m, grid64, seed=20 + m) if m else off_centre_gaussian(
+            grid64, 1.0, (0.3, -0.4)
+        )
+        t_step = None if t_step_in_h is None else t_step_in_h * grid64.spacing
+        # pmax beyond the grid radius: the outer lines sample only zeros,
+        # which must stay unsigned whatever thread projects them
+        for ntheta in (4, 12):
+            outputs = []
+            for workers in (1, 2, 3, ntheta // 2 + 3):
+                monkeypatch.setattr(ray, "_worker_count", lambda angles, k=workers: k)
+                outputs.append(forward(f, num_p=33, ntheta=ntheta, pmax=11.0, t_step=t_step).samples)
+            zeros = outputs[0] == 0.0
+            assert zeros.any() and not np.signbit(outputs[0][zeros]).any()
+            assert all(out.tobytes() == outputs[0].tobytes() for out in outputs[1:])
+
+    def test_worker_count_follows_the_available_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert [ray._worker_count(a) for a in (1, 2, 3, 64)] == [1, 2, 3, ray._MAX_WORKERS]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert ray._worker_count(64) == 1
+        # without an affinity mask the CPU count decides, 1 when unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert ray._worker_count(64) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ray._worker_count(64) == 1
+
+    def test_one_worker_makes_no_pool(self, grid64, monkeypatch):
+        f = random_solenoidal_field(1, grid64, seed=3)
+        expected = forward(f, num_p=21, ntheta=12).samples
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made for one worker")
+
+        monkeypatch.setattr(ray, "_worker_count", lambda angles: 1)
+        monkeypatch.setattr(ray, "ThreadPoolExecutor", no_pool)
+        assert forward(f, num_p=21, ntheta=12).samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_failure_propagates_and_leaves_no_thread(self, where, grid64, monkeypatch):
+        f = random_solenoidal_field(2, grid64, seed=5)
+        caller = threading.current_thread()
+        error = RuntimeError(f"spline pass failed on the {where}")
+        original = ndimage.map_coordinates
+
+        def failing(*args, **kwargs):
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raise error
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ray, "_worker_count", lambda angles: 3)
+        monkeypatch.setattr(ndimage, "map_coordinates", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as excinfo:
+            forward(f, num_p=21, ntheta=12)
+        assert excinfo.value is error
+        assert threading.active_count() == before
 
 
 class TestParityResidual:

@@ -29,9 +29,11 @@ def load_tracer():
     return module
 
 
-def test_tracer_installs_and_hooks_read_their_arguments(grid64):
+def test_tracer_installs_and_hooks_read_their_arguments(grid64, monkeypatch):
     tracer = load_tracer().Tracer()
     f = random_solenoidal_field(1, grid64, seed=4)
+    # project on worker threads even on a one-CPU host
+    monkeypatch.setattr(tensorray.ray, "_worker_count", lambda angles: 2)
     tracer.install()
     try:
         tensorray.forward(f, num_p=33, ntheta=8)
@@ -40,6 +42,11 @@ def test_tracer_installs_and_hooks_read_their_arguments(grid64):
         )
     finally:
         tracer.uninstall()
+    # one span per forward call, with no span under it: the worker threads
+    # call no traced function, so the tracer's single span stack stays valid
+    forward_spans = [i for i, span in enumerate(tracer.spans) if span.name == "ray.forward"]
+    assert len(forward_spans) == 1
+    assert not any(span.parent == forward_spans[0] for span in tracer.spans)
     spans = {span.name: span for span in tracer.spans}
     assert {"line_samples", "in_grid_frac"} <= spans["ray.forward"].attrs.keys()
     assert {"padded_points", "peak_mb"} <= spans["fields.spectrum_polar"].attrs.keys()
