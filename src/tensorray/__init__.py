@@ -60,7 +60,6 @@ from .slices import (
     fst_scalar_residual,
     fst_solenoidal_residual,
     measure_slice_constant,
-    sup_relative_residual,
     tilde_coefficients,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "roundtrip_report",
     "sinogram_norm",
     "solenoidal_project",
-    "sup_relative_residual",
     "symmetrized_gradient",
     "synthesize_solenoidal",
     "tensor_weights",

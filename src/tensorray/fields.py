@@ -464,7 +464,9 @@ def component_spectrum_polar(
 
     Components are real, so ``fhat_j(q, phi + pi) = conj(fhat_j(q, phi))``:
     only the first ``ntheta // 2`` angles (``ntheta`` is even) are sampled
-    and the second half turn is their conjugate.
+    and the second half turn is their conjugate.  The spline's real and
+    imaginary passes run on up to two threads; the samples are
+    byte-identical for any thread count.
     """
     comp = f.component(j)
     n, size = f.grid.n, f.grid.n * oversample

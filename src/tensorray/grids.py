@@ -28,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from ._workers import run_round_robin
+
 __all__ = [
     "CartesianGrid",
     "PolarFrequencyGrid",
@@ -202,9 +204,12 @@ def _sample_polar_window(grid: CartesianGrid, qs, phis, window_values) -> np.nda
 
     Validates the nodes, finds the window (their reach widened by
     ``_PREFILTER_MARGIN`` samples on each side, clipped at the grid edge)
-    and samples ``window_values(window)``, the grid function on that
+    and samples ``window_values(window)``, the complex grid function on that
     ``(rows, columns)`` slice pair, there.  Nothing is computed before the
-    nodes pass.
+    nodes pass.  The real and imaginary parts are prefiltered and sampled
+    on up to two threads (:func:`~tensorray._workers.run_round_robin`),
+    each exactly as ``map_coordinates`` treats a complex input, so the
+    samples are byte-identical to one thread's.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
@@ -229,7 +234,20 @@ def _sample_polar_window(grid: CartesianGrid, qs, phis, window_values) -> np.nda
             hi = min(grid.n, int(np.ceil(coords[axis].max())) + _PREFILTER_MARGIN + 1)
             coords[axis] -= lo
             window[axis] = slice(lo, hi)
-    return ndimage.map_coordinates(window_values(tuple(window)), coords, order=5, mode="constant")
+    values = window_values(tuple(window))
+    out = np.empty(coords.shape[1:], dtype=complex)
+    # the real and imaginary passes scipy would run one after the other on a
+    # complex input, here on up to two threads; each writes its own part
+    parts = ((values.real, out.real), (values.imag, out.imag))
+
+    def spline(which: range) -> None:
+        # runs on a worker thread: scipy only
+        for k in which:
+            part, part_out = parts[k]
+            ndimage.map_coordinates(part, coords, output=part_out, order=5, mode="constant")
+
+    run_round_robin(spline, 2)
+    return out
 
 
 def polar_sample(
@@ -253,7 +271,8 @@ def polar_sample(
     equal the whole grid's to rounding.  That window is all of ``values``
     the samples read, so a caller that can compute the window alone (as
     :func:`~tensorray.fields.component_spectrum_polar` does) gets the same
-    samples without the rest of the grid.
+    samples without the rest of the grid.  The two parts' splines run on up
+    to two threads; the samples do not depend on the thread count.
     """
     values = np.asarray(values, dtype=complex)
     return _sample_polar_window(grid, qs, phis, values.__getitem__)

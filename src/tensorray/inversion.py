@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workers import run_round_robin
 from .fields import (
     TensorField2D,
     field_l2_norm,
@@ -40,7 +41,7 @@ from .fields import (
 from .grids import CartesianGrid, angular_coefficient_matrix, inverse_fourier_transform_2d
 from .norms import SobolevParams, reshetnyak_check
 from .ray import Sinogram, _offset_weights, forward, parity_residual
-from .slices import _check_convention, _tilde_table
+from .slices import _check_convention, _p_kernel, _p_kernel_width, _tilde_table
 
 __all__ = [
     "MomentOrder",
@@ -189,8 +190,16 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     harmonic ``l`` comes from one part alone: the even part carries the real
     part of the series, the odd part its imaginary part, each with harmonics
     of one parity only.  Per block of radii that leaves one real product of
-    each part with its kernel, and a Horner sum in ``e^{2i arg y}``.  Work
-    runs in blocks of radii, so memory stays at one block's worth.
+    each part with its kernel, and a Horner sum in ``e^{2i arg y}``.  The
+    kernels are the real and imaginary parts of ``e^{i q p}``, built by
+    angle addition (``slices._p_kernel``, shared with the p-transform).
+
+    Work runs in blocks of a fixed number of radii, so memory stays at one
+    block's worth per thread.  The blocks are dealt round-robin to up to
+    ``min(CPUs available, 4, blocks)`` threads
+    (:func:`~tensorray._workers.run_round_robin`); each block is computed
+    the same way on any thread and writes only the points at its radii, so
+    the result is byte-identical whatever the thread count.
     """
     dual = grid.dual()
     n, half = grid.n, grid.n // 2
@@ -203,6 +212,7 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     order = np.argsort(ksq, kind="stable")
     points = points[order]
     distinct, radius_index = np.unique(ksq[order], return_inverse=True)
+    del upper, ix, iy, ksq, order
     # band edge in units of the dual spacing; strict, since a radius on it
     # reaches the last row of the dual grid
     edge = min(half - 1, np.pi / psi.dp / dual.spacing)
@@ -231,37 +241,64 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
         np.ascontiguousarray(coeffs[1 - parity :: 2, even.shape[0] :].T).view(float),
     )
     weights = _offset_weights(psi)[zero:] / (2.0 * np.pi)
-    nodes = psi.p_axis()[zero:]
+    # the kernel of each part: cos(q p) times the weights for the even part,
+    # -sin(q p) times them for the odd part, which has no p = 0 row
+    trig_weights = (weights, -weights[rest - zero :])
+
+    def scratch() -> tuple[np.ndarray, ...]:
+        # one block's largest arrays, for one worker: the p-kernel table (in
+        # whole rows of the fine table), one part's weighted kernel and its
+        # product with that part's table.  Allocated on the calling thread,
+        # so a worker thread's heap keeps none of them between calls.
+        size = min(_RADII_PER_BLOCK, in_band)
+        return (
+            np.empty((size, _p_kernel_width(psi)), dtype=complex),
+            np.empty((size, even.shape[0])),
+            np.empty((size, max(table.shape[1] for table in tables))),
+        )
 
     out = np.zeros(n * n, dtype=complex)
-    for b0, b1, first, last in zip(bounds[:-1], bounds[1:], starts[:-1], starts[1:]):
-        phase = np.multiply.outer(radii[b0:b1], nodes)
-        kernels = (np.cos(phase), np.sin(phase[:, rest - zero :]))
-        del phase
-        np.multiply(kernels[0], weights, out=kernels[0])
-        np.multiply(kernels[1], -weights[rest - zero :], out=kernels[1])
-        pts = points[first:last]
-        local = radius_index[first:last] - b0
-        kx, ky = np.divmod(pts, n)
-        kx -= half
-        ky -= half
-        # e^{i arg y}; it reads 0 at y = 0, which leaves only l = 0 there
-        z = (kx + 1j * ky) / np.sqrt(np.maximum(kx**2 + ky**2, 1))
-        w = z * z
-        parts = []
-        for table, kernel, lowest in zip(tables, kernels, (parity, 1 - parity)):
-            by_l = np.ascontiguousarray((kernel @ table).view(complex).T)  # [l, radius]
-            acc = np.zeros(pts.size, dtype=complex)
-            for row in by_l[::-1]:
-                acc *= w
-                acc += row[local]
-            if lowest:
-                acc *= z
-            parts.append(acc)
-        values = parts[0].real + 1j * parts[1].imag
-        # in band, y and -y both sit inside the grid: flat index n(n+1) - i
-        out[n * (n + 1) - pts] = signs[0] * np.conj(values)
-        out[pts] = values
+
+    def transform(
+        blocks: range, table_buf: np.ndarray, kernel_buf: np.ndarray, product_buf: np.ndarray
+    ) -> None:
+        # fills the points of each block of radii; runs on worker threads, so
+        # it calls numpy only (and the private _p_kernel), never a traced
+        # function.  Blocks write disjoint indices of ``out``: a point and
+        # its mirror share a radius.
+        for k in blocks:
+            b0, b1, first, last = bounds[k], bounds[k + 1], starts[k], starts[k + 1]
+            size = b1 - b0
+            exps = _p_kernel(psi, radii[b0:b1], out=table_buf[:size])
+            pts = points[first:last]
+            local = radius_index[first:last] - b0
+            kx, ky = np.divmod(pts, n)
+            kx -= half
+            ky -= half
+            # e^{i arg y}; it reads 0 at y = 0, which leaves only l = 0 there
+            z = (kx + 1j * ky) / np.sqrt(np.maximum(kx**2 + ky**2, 1))
+            w = z * z
+            parts = []
+            trigs = (exps.real, exps.imag[:, rest - zero :])
+            for table, trig, trig_weight, lowest in zip(
+                tables, trigs, trig_weights, (parity, 1 - parity)
+            ):
+                kernel = np.multiply(trig, trig_weight, out=kernel_buf[:size, : trig.shape[1]])
+                product = product_buf[:size, : table.shape[1]]
+                by_l = np.matmul(kernel, table, out=product).view(complex)  # [radius, l]
+                acc = np.zeros(pts.size, dtype=complex)
+                for l in range(by_l.shape[1] - 1, -1, -1):
+                    acc *= w
+                    acc += by_l[local, l]
+                if lowest:
+                    acc *= z
+                parts.append(acc)
+            values = parts[0].real + 1j * parts[1].imag
+            # in band, y and -y both sit inside the grid: flat index n(n+1) - i
+            out[n * (n + 1) - pts] = signs[0] * np.conj(values)
+            out[pts] = values
+
+    run_round_robin(transform, bounds.size - 1, scratch)
     return out.reshape(n, n)
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "fst_solenoidal_residual",
     "fst_coefficient_residual",
     "measure_slice_constant",
-    "sup_relative_residual",
 ]
 
 # What each convention multiplies a lemma-calculus quantity by: the slice
@@ -59,6 +58,55 @@ def _check_convention(convention: str) -> str:
     return convention
 
 
+# offsets per row of the p-kernel's fine table: e^{i q p_j} with j = 16a + b
+# is a coarse factor (a) times a fine one (b)
+_FINE_OFFSETS = 16
+
+
+def _p_kernel_width(psi: Sinogram) -> int:
+    """Columns of a ``_p_kernel`` table: the offsets ``p >= 0`` in whole rows of 16."""
+    return -(-(psi.num_p - psi.num_p // 2) // _FINE_OFFSETS) * _FINE_OFFSETS
+
+
+def _p_kernel(psi: Sinogram, qs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``e^{i q p_j}`` at the offsets ``p_j >= 0`` of ``psi``, indexed ``[..., j]``.
+
+    Those offsets are ``p_j = p_0 + j dp``, with ``p_0 = 0`` for an odd
+    ``num_p`` and ``dp/2`` for an even one, so by angle addition
+    ``e^{i q p_j} = e^{i q (p_0 + 16 a dp)} e^{i q b dp}`` with
+    ``j = 16a + b``: per node ``q`` it takes ``count/16 + 16`` cosines and
+    sines and one complex product per offset instead of a cosine and a sine
+    per offset.  Each factor's phase is rounded once, as ``q p_j`` is, so the
+    error against the exact kernel stays at the rounding of ``q p``.
+
+    ``qs`` may have any shape; the offsets form the last axis.  The table
+    is built over whole rows of 16 offsets and the result is a view of it;
+    ``out``, a complex array of shape ``qs.shape + (_p_kernel_width(psi),)``,
+    receives the table instead of a new array.
+    """
+    count = psi.num_p - psi.num_p // 2
+    p0 = 0.0 if psi.num_p % 2 else 0.5 * psi.dp
+    qs = np.asarray(qs, dtype=float)[..., None]
+
+    def unit(offsets: np.ndarray) -> np.ndarray:
+        # e^{i q p} over the offsets, from a cosine and a sine (half the
+        # time of a complex exp)
+        phase = qs * offsets
+        exps = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=exps.real)
+        np.sin(phase, out=exps.imag)
+        return exps
+
+    width = _p_kernel_width(psi)
+    coarse = unit(p0 + psi.dp * np.arange(0, width, _FINE_OFFSETS))
+    fine = unit(psi.dp * np.arange(_FINE_OFFSETS))
+    if out is None:
+        out = np.empty(qs.shape[:-1] + (width,), dtype=complex)
+    # splitting the last axis into rows of 16 is a view of ``out``
+    np.multiply(coarse[..., :, None], fine[..., None, :], out=out.reshape(coarse.shape + (-1,)))
+    return out[..., :count]
+
+
 def sinogram_transform_values(psi: Sinogram, qs: np.ndarray) -> np.ndarray:
     """Lemma-calculus p-transform of a sinogram at arbitrary frequency nodes.
 
@@ -68,18 +116,21 @@ def sinogram_transform_values(psi: Sinogram, qs: np.ndarray) -> np.ndarray:
     ``p > 0``: its even part ``psi(p) + psi(-p)`` meets ``cos(q p)`` and its
     odd part ``psi(p) - psi(-p)`` meets ``-sin(q p)``, two real products of
     half the length, with the ``p = 0`` row (odd ``num_p``) added once.
-    This holds for any sinogram, range data or not.
+    This holds for any sinogram, range data or not.  The kernels are the
+    real and imaginary parts of ``_p_kernel``'s angle-addition table, which
+    :func:`~tensorray.inversion.invert` shares; they match direct cosines
+    and sines to the rounding of ``q p``.
     """
     qs = np.asarray(qs, dtype=float)
     _check_finite(qs, "frequency nodes qs")
     half = psi.num_p // 2
     rest = psi.num_p - half  # first index with p > 0
     weights = 1.0 / (2.0 * np.pi) * _offset_weights(psi)
-    phase = np.multiply.outer(qs, psi.p_axis()[rest:])
+    kernel = _p_kernel(psi, qs)[..., rest - half :]
     positive, negative = psi.samples[rest:], psi.samples[half - 1 :: -1]
     out = np.empty(qs.shape + (psi.ntheta,), dtype=complex)
-    out.real = (np.cos(phase) * weights[rest:]) @ (positive + negative)
-    out.imag = (np.sin(phase) * -weights[rest:]) @ (positive - negative)
+    out.real = (kernel.real * weights[rest:]) @ (positive + negative)
+    out.imag = (kernel.imag * -weights[rest:]) @ (positive - negative)
     if rest > half:
         out.real += weights[half] * psi.samples[half]
     return out

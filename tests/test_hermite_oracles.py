@@ -16,7 +16,8 @@ equivariance: a field turned by ``R`` on its grid, with the tensor sign rule
 ``ntheta/4`` columns.  The spectral routes the
 generator used to take (:func:`synthesize_solenoidal` of the documented
 amplitude, :func:`symmetrized_gradient` of the rank ``m-1`` generic field)
-are kept here as references for the tables.
+are kept here as references for the tables.  The solenoidal fields'
+closed-form spectra anchor both sides of the slice identity as well.
 """
 
 from math import comb
@@ -42,6 +43,7 @@ from tensorray.fields import (
     _solenoidal_table,
     require_solenoidal,
 )
+from tensorray.slices import _slice_sides
 
 NUM_P, NTHETA = 257, 128
 SEED = 7
@@ -212,6 +214,43 @@ def quarter_turn(f):
     turned = f.components[:, :, (n - np.arange(n)) % n].transpose(0, 2, 1)
     signs = (-1.0) ** (m - np.arange(m + 1))
     return TensorField2D(m=m, grid=f.grid, components=signs[:, None, None] * turned[::-1])
+
+
+# Both sides of the slice identity against the closed-form spectrum, max
+# error over the peak, measured at n = 256, R = 8, num_p = 257, ntheta = 128,
+# nq = 512, qmax = R: {width: {rank m: (field side, sinogram side)}}.  The
+# field side is the spectrum's quintic spline, worse at w = 1.0; the
+# sinogram side the projector's cubic spline, worse at w = 0.8.
+SLICE_SIDES = {
+    0.8: {0: (3.1e-8, 1.12e-7), 1: (7.6e-8, 3.9e-7), 2: (1.31e-7, 7.6e-7), 3: (1.74e-7, 1.22e-6)},
+    1.0: {0: (1.23e-7, 4.6e-8), 1: (2.95e-7, 1.60e-7), 2: (5.3e-7, 3.1e-7), 3: (7.3e-7, 5.0e-7)},
+}
+
+
+class TestClosedFormSliceSides:
+    """Each side of ``_slice_sides`` against ``fhat_m(q, theta + pi/2)``, pinned at ~10x.
+
+    The solenoidal test field has ``fhat_m(q, phi) = i^m A q^m e^{-w^2 q^2/2}
+    cos^m(phi)`` with ``A = w^(max(m - 2, 0) + 2)``.  The field side is
+    ``fhat`` and the sinogram side ``sin^m(theta) psihat``; a residual
+    compares the two, so an error common to both would cancel there.
+    """
+
+    @pytest.mark.parametrize(
+        "m, width",
+        [pytest.param(m, w, id=f"m{m}-w{w}") for w, ranks in SLICE_SIDES.items() for m in ranks],
+    )
+    def test_both_sides_match_the_closed_form(self, m, width, grid256):
+        f = gaussian_test_field(m, "solenoidal", grid256, width=width)
+        psi = forward(f, num_p=NUM_P, ntheta=NTHETA)
+        sides = _slice_sides(f, ntheta=NTHETA, nq=512, qmax=grid256.radius, sinogram=psi)
+        q = sides.qs[:, None]
+        phi = psi.theta_axis() + np.pi / 2.0
+        amplitude = width ** (max(m - 2, 0) + 2)
+        exact = 1j**m * amplitude * q**m * np.exp(-(width * q) ** 2 / 2.0) * np.cos(phi) ** m
+        field_pin, sinogram_pin = (SLACK * v for v in SLICE_SIDES[width][m])
+        assert relative_gap(sides.fhat, exact) < field_pin
+        assert relative_gap(sides.tilde(), exact) < sinogram_pin
 
 
 # forward(Rf) against forward(f) shifted a quarter turn, max error over the

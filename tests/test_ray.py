@@ -17,7 +17,7 @@ from tensorray import (
     random_solenoidal_field,
     solenoidal_project,
 )
-from tensorray import ray
+from tensorray import _workers, ray
 
 
 def off_centre_gaussian(grid, width, centre):
@@ -230,7 +230,7 @@ class TestWorkers:
         for ntheta in (4, 12):
             outputs = []
             for workers in (1, 2, 3, ntheta // 2 + 3):
-                monkeypatch.setattr(ray, "_worker_count", lambda angles, k=workers: k)
+                monkeypatch.setattr(_workers, "worker_count", lambda tasks, k=workers: k)
                 outputs.append(forward(f, num_p=33, ntheta=ntheta, pmax=11.0, t_step=t_step).samples)
             zeros = outputs[0] == 0.0
             assert zeros.any() and not np.signbit(outputs[0][zeros]).any()
@@ -238,15 +238,15 @@ class TestWorkers:
 
     def test_worker_count_follows_the_available_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        assert [ray._worker_count(a) for a in (1, 2, 3, 64)] == [1, 2, 3, ray._MAX_WORKERS]
+        assert [_workers.worker_count(a) for a in (1, 2, 3, 64)] == [1, 2, 3, _workers._MAX_WORKERS]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert ray._worker_count(64) == 1
+        assert _workers.worker_count(64) == 1
         # without an affinity mask the CPU count decides, 1 when unknown
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert ray._worker_count(64) == 3
+        assert _workers.worker_count(64) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert ray._worker_count(64) == 1
+        assert _workers.worker_count(64) == 1
 
     def test_one_worker_makes_no_pool(self, grid64, monkeypatch):
         f = random_solenoidal_field(1, grid64, seed=3)
@@ -255,8 +255,8 @@ class TestWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was made for one worker")
 
-        monkeypatch.setattr(ray, "_worker_count", lambda angles: 1)
-        monkeypatch.setattr(ray, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks: 1)
+        monkeypatch.setattr(_workers, "ThreadPoolExecutor", no_pool)
         assert forward(f, num_p=21, ntheta=12).samples.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
@@ -271,7 +271,7 @@ class TestWorkers:
                 raise error
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(ray, "_worker_count", lambda angles: 3)
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks: 3)
         monkeypatch.setattr(ndimage, "map_coordinates", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as excinfo:

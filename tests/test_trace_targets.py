@@ -5,6 +5,9 @@ read call arguments by name (``forward``'s ``num_p``, ``ntheta``, ``pmax``,
 ``t_step``; ``component_spectrum_polar``'s ``oversample``).  Renaming or
 deleting any of them breaks traced benchmark runs, so this test installs the
 tracer as the benchmark does and makes one small call through each hook.
+Both calls run on two worker threads (the projector's angles, the spectrum's
+real and imaginary spline passes), so the test also checks that no span
+opens on a worker: the tracer keeps a single span stack.
 """
 
 import importlib.util
@@ -32,8 +35,8 @@ def load_tracer():
 def test_tracer_installs_and_hooks_read_their_arguments(grid64, monkeypatch):
     tracer = load_tracer().Tracer()
     f = random_solenoidal_field(1, grid64, seed=4)
-    # project on worker threads even on a one-CPU host
-    monkeypatch.setattr(tensorray.ray, "_worker_count", lambda angles: 2)
+    # project and sample the spectrum on worker threads even on a one-CPU host
+    monkeypatch.setattr(tensorray._workers, "worker_count", lambda tasks: 2)
     tracer.install()
     try:
         tensorray.forward(f, num_p=33, ntheta=8)
@@ -42,11 +45,13 @@ def test_tracer_installs_and_hooks_read_their_arguments(grid64, monkeypatch):
         )
     finally:
         tracer.uninstall()
-    # one span per forward call, with no span under it: the worker threads
-    # call no traced function, so the tracer's single span stack stays valid
-    forward_spans = [i for i, span in enumerate(tracer.spans) if span.name == "ray.forward"]
-    assert len(forward_spans) == 1
-    assert not any(span.parent == forward_spans[0] for span in tracer.spans)
+    # one span per forward and spectrum call, with no span under either: the
+    # worker threads call no traced function, so the tracer's single span
+    # stack stays valid
+    for name in ("ray.forward", "fields.spectrum_polar"):
+        found = [i for i, span in enumerate(tracer.spans) if span.name == name]
+        assert len(found) == 1
+        assert not any(span.parent == found[0] for span in tracer.spans)
     spans = {span.name: span for span in tracer.spans}
     assert {"line_samples", "in_grid_frac"} <= spans["ray.forward"].attrs.keys()
     assert {"padded_points", "peak_mb"} <= spans["fields.spectrum_polar"].attrs.keys()
