@@ -20,6 +20,14 @@ decaying test fields of each kind in closed form: every component is a
 Gaussian times a Hermite polynomial in ``(x/w, y/w)``, one coefficient table
 per kind and rank, so their line integrals have closed forms too.
 :func:`random_solenoidal_field` is synthesized from its seeded amplitude.
+
+Components are real, so every spectrum here is Hermitian and is formed only
+on the half plane ``ky = 0 .. n/2`` of a real FFT (``np.fft.rfft2`` /
+``np.fft.irfft2``, fft order): the gate, the projection, the synthesis and
+:func:`symmetrized_gradient` take no complex 2D transform.  The half plane's
+``ky = 0`` and Nyquist columns hold their own mirrors; what each function
+does on the Nyquist row and column, where ``y`` and ``-y`` share a bin, is
+stated in its docstring.
 """
 
 from __future__ import annotations
@@ -47,9 +55,9 @@ __all__ = [
     "component_spectrum_polar",
 ]
 
-# Realness tolerance when collapsing inverse transforms of nominally
-# Hermitian spectra to float components.
-_IMAG_TOL = 1e-6
+# Largest |a(-y) - (-1)^m conj(a(y))|, relative to the peak of |a|, that an
+# amplitude may show and still count as the amplitude of a real field.
+_SYMMETRY_TOL = 1e-6
 
 # Relative divergence residual above which a field counts as not solenoidal.
 _SOLENOIDAL_TOL = 1e-6
@@ -117,39 +125,64 @@ def relative_l2_error(f: TensorField2D, ref: TensorField2D) -> float:
     return float(num / den)
 
 
-def _frequency_mesh(grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
-    # fft-ordered frequencies, matching np.fft layouts
+def _half_frequencies(grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``kx`` and ``ky`` of a real FFT's half plane, as ``np.fft.rfft2`` lays it out.
+
+    ``kx`` runs over every row in fft order; ``ky`` over the columns
+    ``0 .. n/2``, the last of which is the Nyquist bin, at ``-n/2`` as in
+    ``np.fft.fftfreq`` (and in the full plane of a complex FFT).
+    """
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
-    return np.meshgrid(k, k, indexing="ij")
+    return k, k[: grid.n // 2 + 1]
+
+
+def _derivative_frequencies(grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``kx`` and ``ky`` of a real field's derivatives on the half plane.
+
+    The Nyquist row and column are their own ``-k``: a derivative there is
+    not the transform of a real function, and the real part of a derivative
+    taken over the whole plane drops it.  So ``kx`` is 0 on the Nyquist row
+    and ``ky`` on the Nyquist column.
+    """
+    kx, ky = (k.copy() for k in _half_frequencies(grid))
+    kx[grid.n // 2] = 0.0
+    ky[-1] = 0.0
+    return kx, ky
 
 
 def relative_divergence_residual(f: TensorField2D) -> float:
     """Largest divergence-row L2 norm relative to the field norm.
 
     Row ``j < m`` is the spectral ``d(f_j)/dx + d(f_{j+1})/dy``, zero for
-    solenoidal fields.  A row is real, so only the Hermitian part of its
-    spectrum ``i D_j``, ``D_j = kx S_j + ky S_{j+1}`` (``S_j`` the FFT of
-    component ``j``), counts; by Parseval its grid L2 norm is
-    ``h * sqrt(sum |D_j(k) - conj D_j(-k)|^2) / 2n``, from two spectra at a
-    time and no inverse transform.  That part drops ``kx`` on the Nyquist row
-    and ``ky`` on the Nyquist column (bins that are their own ``-k``) and the
-    FFT's anti-Hermitian rounding.
+    solenoidal fields.  Its spectrum is ``i D_j``, ``D_j = kx S_j + ky
+    S_{j+1}`` with ``S_j`` the real FFT of component ``j`` (the half plane
+    ``ky = 0 .. n/2``), and ``kx`` dropped on the Nyquist row and ``ky`` on
+    the Nyquist column, bins that are their own ``-k`` (see
+    :func:`_derivative_frequencies`).  By Parseval the row's grid L2 norm is
+    ``h * sqrt(sum_k w_ky |D_j(k)|^2) / n`` over the half plane, where a
+    column ``0 < ky < n/2`` stands for itself and its mirror (``w = 2``) and
+    the ``ky = 0`` and Nyquist columns hold their own mirrors (``w = 1``).
+    It takes ``m + 1`` real forward transforms, two spectra at a time, and
+    no inverse transform.
     """
     if f.m == 0:
         raise ValueError("scalar fields are vacuously solenoidal; no divergence to check")
-    k = 2.0 * np.pi * np.fft.fftfreq(f.grid.n, d=f.grid.spacing)
-    spec = np.fft.fft2(f.components[0])
+    kx, ky = _derivative_frequencies(f.grid)
+    weights = np.full(ky.size, 2.0)
+    weights[[0, -1]] = 1.0
+    spec = np.fft.rfft2(f.components[0])
     worst = 0.0
     for comp in f.components[1:]:
-        nxt = np.fft.fft2(comp)
-        row = k[:, None] * spec + k[None, :] * nxt
-        row -= np.roll(row[::-1, ::-1], 1, axis=(0, 1)).conj()  # D(k) - conj D(-k)
-        worst = max(worst, np.vdot(row, row).real)
+        nxt = np.fft.rfft2(comp)
+        row = kx[:, None] * spec + ky * nxt
+        power = row.real**2
+        power += row.imag**2
+        worst = max(worst, float(weights @ power.sum(axis=0)))
         spec = nxt
     scale = field_l2_norm(f)
     if scale == 0.0:
         return 0.0
-    return float(f.grid.spacing * np.sqrt(worst) / (2 * f.grid.n) / scale)
+    return float(f.grid.spacing * np.sqrt(worst) / f.grid.n / scale)
 
 
 def require_solenoidal(f: TensorField2D) -> None:
@@ -169,8 +202,8 @@ def require_solenoidal(f: TensorField2D) -> None:
 
 
 def _eta_monomials(grid: CartesianGrid, m: int) -> np.ndarray:
-    """``eta1^(m-j) * eta2^j`` on the fft-ordered frequency mesh, 0 at y = 0."""
-    kx, ky = _frequency_mesh(grid)
+    """``eta1^(m-j) * eta2^j`` on the half plane of :func:`_half_frequencies`, 0 at y = 0."""
+    kx, ky = np.meshgrid(*_half_frequencies(grid), indexing="ij")
     rad = np.hypot(kx, ky)
     with np.errstate(invalid="ignore", divide="ignore"):
         e1 = np.where(rad > 0, -ky / rad, 0.0)
@@ -196,31 +229,63 @@ def solenoidal_project(f: TensorField2D) -> TensorField2D:
     kept unchanged (the direction ``eta`` is undefined there and the single
     bin carries no weight in the norms used downstream).  The Nyquist row
     and column are zeroed: there ``y`` and ``-y`` share one bin, so the
-    projected spectrum of a real field would not be Hermitian and taking its
-    real part would undo part of the projection.  The map is linear,
+    projected spectrum of a real field would not be Hermitian, and
+    transforming it back to a real field would undo part of the
+    projection.  The map is linear,
     idempotent, and non-expanding in the weighted grid L2 norm.
+
+    The components are real, so their spectra are computed and projected
+    on the half plane ``ky = 0 .. n/2`` of a real FFT (``eta`` built there
+    too) and transformed back with ``np.fft.irfft2``; the Nyquist column is
+    the half plane's last.
     """
     if f.m == 0:
         return f
     mono = _eta_monomials(f.grid, f.m)
-    # one n x n spectrum at a time: accumulate <spec, eta^m>, then project
+    # one spectrum at a time: accumulate <spec, eta^m>, then project
     inner = np.zeros(mono.shape[1:], dtype=complex)
     dc = np.empty(f.m + 1, dtype=complex)
     for j, (weight, comp) in enumerate(zip(tensor_weights(f.m), f.components)):
-        spec = np.fft.fft2(comp)
+        spec = np.fft.rfft2(comp)
         dc[j] = spec[0, 0]  # fft order: DC sits at index (0, 0)
         spec *= weight
         spec *= mono[j]
         inner += spec
-    nyquist = f.grid.n // 2  # fft order
-    inner[nyquist, :] = 0.0
-    inner[:, nyquist] = 0.0
+    inner[f.grid.n // 2, :] = 0.0  # Nyquist row
+    inner[:, -1] = 0.0  # Nyquist column
     comps = np.empty_like(f.components)
     for j in range(f.m + 1):
         spec = inner * mono[j]
         spec[0, 0] = dc[j]
-        comps[j] = np.fft.ifft2(spec).real
+        comps[j] = np.fft.irfft2(spec, s=comps[j].shape)
     return TensorField2D(m=f.m, grid=f.grid, components=comps)
+
+
+def _inverse_half(spectrum: np.ndarray, grid: CartesianGrid) -> np.ndarray:
+    """The real grid function whose continuum-normalized spectrum is ``spectrum``.
+
+    ``spectrum`` is given on the half plane of :func:`_half_frequencies`
+    (fft order, ``ky = 0 .. n/2``); the other half is its conjugate mirror.
+    Equals the real part of
+    :func:`~tensorray.grids.inverse_fourier_transform_2d` of the Hermitian
+    spectrum, from one ``np.fft.irfft2``.
+    """
+    out = np.fft.fftshift(np.fft.irfft2(spectrum, s=(grid.n, grid.n)))
+    out *= 2.0 * np.pi / grid.spacing**2
+    return out
+
+
+def _synthesize_half(amplitude: np.ndarray, m: int, grid: CartesianGrid) -> TensorField2D:
+    """The field with spectrum ``a * eta^(tensor m)``, ``a`` on the half plane.
+
+    ``amplitude`` holds ``a`` on the half plane of :func:`_half_frequencies`
+    and must already be the amplitude of a real field: nothing is checked.
+    """
+    mono = _eta_monomials(grid, m)
+    comps = np.empty((m + 1, grid.n, grid.n))
+    for j in range(m + 1):
+        comps[j] = _inverse_half(amplitude * mono[j], grid)
+    return TensorField2D(m=m, grid=grid, components=comps)
 
 
 def synthesize_solenoidal(amplitude, m: int, grid: CartesianGrid) -> TensorField2D:
@@ -244,6 +309,15 @@ def synthesize_solenoidal(amplitude, m: int, grid: CartesianGrid) -> TensorField
     for ``m >= 1`` where the direction ``eta`` is undefined.  Amplitudes that
     vanish like ``q^m`` near ``q = 0`` give smooth spectra and hence rapidly
     decaying fields.
+
+    The samples are checked before anything is transformed: every sample
+    must be finite, the boundary rows and columns must be below ``1e-8`` of
+    the peak, and ``a(-y)`` must equal ``(-1)^m conj(a(y))`` to ``1e-6`` of
+    the peak wherever both sit on the grid and the spectrum is not forced
+    to 0 (``y = 0`` counts only for ``m = 0``).  The field is real, so only
+    the half plane ``ky >= 0`` of the amplitude is transformed
+    (``np.fft.irfft2``); without the symmetry check a violation there would
+    be symmetrized silently instead of rejected.
     """
     dual = grid.dual()
     if callable(amplitude):
@@ -268,23 +342,18 @@ def synthesize_solenoidal(amplitude, m: int, grid: CartesianGrid) -> TensorField
                 "amplitude does not decay at the frequency-grid boundary "
                 f"(edge/peak = {edge / peak:.3e}); the inverse transform would wrap"
             )
-
-    amp_fft = np.fft.ifftshift(amp)  # to fft order
-    mono = _eta_monomials(grid, m)
-    comps = np.empty((m + 1, grid.n, grid.n))
-    scale = 2.0 * np.pi / (grid.spacing ** 2)
-    for j in range(m + 1):
-        spec_j = amp_fft * mono[j]
-        out = np.fft.fftshift(np.fft.ifft2(spec_j)) * scale
-        imag = np.abs(out.imag).max()
-        real_scale = max(np.abs(out.real).max(), 1e-300)
-        if imag > _IMAG_TOL * real_scale:
+        # row and column 0 hold -n/2, whose mirror +n/2 is not on the grid
+        paired = amp[1:, 1:]
+        asymmetry = np.abs(paired - (-1.0) ** m * np.conj(paired[::-1, ::-1]))
+        if m > 0:
+            asymmetry[grid.n // 2 - 1, grid.n // 2 - 1] = 0.0  # y = 0
+        worst = asymmetry.max()
+        if worst > _SYMMETRY_TOL * peak:
             raise ValueError(
                 "amplitude violates the conjugate symmetry of real fields "
-                f"(imaginary residue {imag / real_scale:.3e} in component {j})"
+                f"(|a(-y) - (-1)^m conj a(y)| reaches {worst / peak:.3e} of the peak)"
             )
-        comps[j] = out.real
-    return TensorField2D(m=m, grid=grid, components=comps)
+    return _synthesize_half(np.fft.ifftshift(amp)[:, : grid.n // 2 + 1], m, grid)
 
 
 def symmetrized_gradient(v: TensorField2D) -> TensorField2D:
@@ -296,8 +365,9 @@ def symmetrized_gradient(v: TensorField2D) -> TensorField2D:
     the kernel of the forward ray transform.
     """
     m = v.m + 1
-    kx, ky = _frequency_mesh(v.grid)
-    specs = np.fft.fft2(v.components, axes=(1, 2))
+    kx, ky = _derivative_frequencies(v.grid)
+    kx = kx[:, None]
+    specs = np.fft.rfft2(v.components, axes=(1, 2))
     comps = np.empty((m + 1, v.grid.n, v.grid.n))
     for j in range(m + 1):
         acc = np.zeros_like(specs[0])
@@ -305,7 +375,7 @@ def symmetrized_gradient(v: TensorField2D) -> TensorField2D:
             acc += (m - j) * 1j * kx * specs[j]
         if j >= 1:
             acc += j * 1j * ky * specs[j - 1]
-        comps[j] = np.fft.ifft2(acc / m).real
+        comps[j] = np.fft.irfft2(acc / m, s=comps[j].shape)
     return TensorField2D(m=m, grid=v.grid, components=comps)
 
 

@@ -33,12 +33,13 @@ import numpy as np
 from ._workers import run_round_robin
 from .fields import (
     TensorField2D,
+    _inverse_half,
+    _synthesize_half,
     field_l2_norm,
     relative_l2_error,
     solenoidal_project,
-    synthesize_solenoidal,
 )
-from .grids import CartesianGrid, angular_coefficient_matrix, inverse_fourier_transform_2d
+from .grids import CartesianGrid, angular_coefficient_matrix
 from .norms import SobolevParams, reshetnyak_check
 from .ray import Sinogram, _offset_weights, forward, parity_residual
 from .slices import _check_convention, _p_kernel, _p_kernel_width, _tilde_table
@@ -162,7 +163,7 @@ def check_moment_conditions(psi: Sinogram, rmax: int, tol: float = 1e-5) -> Mome
 
 
 def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.ndarray:
-    """``g(|y|, arg(y) - pi/2)`` on the centered dual grid of ``grid``.
+    """``g(|y|, arg(y) - pi/2)`` on the half plane of the dual grid of ``grid``.
 
     ``g(q, theta) = sin^power(theta) * psihat(q, theta)``, with ``psihat`` the
     lemma-calculus p-transform of ``psi``.  ``g`` is evaluated at the grid's
@@ -171,14 +172,16 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     ``sum_l (-i)^l g_l(|y|) e^{i l arg y}``, where ``(-i)^l e^{i l phi}`` is
     ``e^{i l (phi - pi/2)}``.  The ``y = 0`` point keeps only ``l = 0``.
 
-    The result is the spectrum of a real field, ``s(-y) = (-1)^(m + power)
+    The series is the spectrum of a real field, ``s(-y) = (-1)^(m + power)
     conj(s(y))``: each coefficient ``c_l = (-i)^l g_l`` is averaged with its
     mirror so that ``c_(-l) = (-1)^(l + m + power) conj(c_l)``, so the pair
     ``(l, -l)`` sums to ``t + sign_l conj(t)`` with ``t = c_l e^{i l arg y}``,
-    which is ``2 Re t`` or ``2i Im t``.  The series is evaluated on the
-    half-plane ``ky > 0`` (plus ``ky = 0, kx >= 0``) and written on the other
-    half as ``(-1)^(m + power)`` times its conjugate, so the symmetry is
-    bitwise by construction.
+    which is ``2 Re t`` or ``2i Im t``.  So the result is the half plane
+    ``np.fft.irfft2`` reads, shape ``(n, n/2 + 1)``: rows are ``kx`` in fft
+    order, columns ``ky = 0 .. n/2``.  The series is evaluated at ``ky > 0``
+    and at ``ky = 0, kx >= 0``; the rest of the ``ky = 0`` column is written
+    as ``(-1)^(m + power)`` times the conjugate at ``-kx``, so the symmetry
+    there is bitwise.  The Nyquist column lies beyond the band and is zero.
 
     The angular DFT, the ``sin^power`` stencil, the ``(-i)^l`` turn and the
     fold act along theta; the p-kernels ``cos(q p)`` and ``-sin(q p)`` are
@@ -203,16 +206,24 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     """
     dual = grid.dual()
     n, half = grid.n, grid.n // 2
-    upper = np.zeros((n, n), dtype=bool)
-    upper[:, half + 1 :] = True
-    upper[half:, half] = True
-    points = np.flatnonzero(upper)
-    ix, iy = np.divmod(points, n)
-    ksq = (ix - half) ** 2 + (iy - half) ** 2
+    width = half + 1  # columns ky = 0 .. n/2 of the half plane
+    # the points evaluated: ky > 0, and ky = 0 with kx >= 0 (the rest of the
+    # ky = 0 column is their mirror), as flat indices of the half plane
+    kx_of_row = np.arange(n)
+    kx_of_row[half:] -= n  # fft order
+    evaluated = np.ones((n, width), dtype=bool)
+    evaluated[half:, 0] = False
+    points = np.flatnonzero(evaluated)
+    ksq = (kx_of_row[:, None] ** 2 + np.arange(width) ** 2).ravel()[points]
+    # 16-bit squared radii up to n = 362 sort by radix; bincount gives the
+    # distinct radii and each point's index among them
+    ksq = ksq.astype(np.min_scalar_type(2 * half**2))
     order = np.argsort(ksq, kind="stable")
-    points = points[order]
-    distinct, radius_index = np.unique(ksq[order], return_inverse=True)
-    del upper, ix, iy, ksq, order
+    points, ksq = points[order], ksq[order]
+    counts = np.bincount(ksq)
+    distinct = np.flatnonzero(counts)
+    radius_index = (np.cumsum(counts > 0) - 1)[ksq]
+    del evaluated, ksq, order, counts
     # band edge in units of the dual spacing; strict, since a radius on it
     # reaches the last row of the dual grid
     edge = min(half - 1, np.pi / psi.dp / dual.spacing)
@@ -257,7 +268,7 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
             np.empty((size, max(table.shape[1] for table in tables))),
         )
 
-    out = np.zeros(n * n, dtype=complex)
+    out = np.zeros(n * width, dtype=complex)
 
     def transform(
         blocks: range, table_buf: np.ndarray, kernel_buf: np.ndarray, product_buf: np.ndarray
@@ -272,9 +283,8 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
             exps = _p_kernel(psi, radii[b0:b1], out=table_buf[:size])
             pts = points[first:last]
             local = radius_index[first:last] - b0
-            kx, ky = np.divmod(pts, n)
-            kx -= half
-            ky -= half
+            kx, ky = np.divmod(pts, width)
+            kx = kx_of_row[kx]
             # e^{i arg y}; it reads 0 at y = 0, which leaves only l = 0 there
             z = (kx + 1j * ky) / np.sqrt(np.maximum(kx**2 + ky**2, 1))
             w = z * z
@@ -286,7 +296,7 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
                 kernel = np.multiply(trig, trig_weight, out=kernel_buf[:size, : trig.shape[1]])
                 product = product_buf[:size, : table.shape[1]]
                 by_l = np.matmul(kernel, table, out=product).view(complex)  # [radius, l]
-                acc = np.zeros(pts.size, dtype=complex)
+                acc = np.zeros(kx.size, dtype=complex)
                 for l in range(by_l.shape[1] - 1, -1, -1):
                     acc *= w
                     acc += by_l[local, l]
@@ -294,12 +304,13 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
                     acc *= z
                 parts.append(acc)
             values = parts[0].real + 1j * parts[1].imag
-            # in band, y and -y both sit inside the grid: flat index n(n+1) - i
-            out[n * (n + 1) - pts] = signs[0] * np.conj(values)
+            # the ky = 0 column holds -y too: row n - kx (y = 0 is written last)
+            axis = ky == 0
+            out[(n - kx[axis]) % n * width] = signs[0] * np.conj(values[axis])
             out[pts] = values
 
     run_round_robin(transform, bounds.size - 1, scratch)
-    return out.reshape(n, n)
+    return out.reshape(n, width)
 
 
 def _range_warnings(psi: Sinogram) -> None:
@@ -340,7 +351,9 @@ def invert(
 
     The amplitude ``a(q, phi) = (-1)^m * psihat(q, phi - pi/2)`` (lemma
     calculus) is evaluated at the exact radii of the dual grid of ``grid``
-    and synthesized into a field.  On range data this recovers the
+    and synthesized into a field, one ``np.fft.irfft2`` per component from
+    the half plane of :func:`_quarter_turn_series`, which is the amplitude
+    of a real field by construction.  On range data this recovers the
     solenoidal part of the original field; on arbitrary parity-correct data
     it still produces the field whose transform best matches, after warning
     via :class:`RangeDataWarning` when ``check_range`` is set.
@@ -353,7 +366,7 @@ def invert(
     if check_range:
         _range_warnings(psi)
     amp = (-1.0) ** psi.m * _quarter_turn_series(psi, grid, 0)
-    return synthesize_solenoidal(amp, psi.m, grid)
+    return _synthesize_half(amp, psi.m, grid)
 
 
 def invert_coefficient_route(
@@ -364,13 +377,13 @@ def invert_coefficient_route(
     """Reconstruct the last component ``f_m`` from the coefficient identity.
 
     Assembles ``fhat_m(z) = sum_l (-i)^l (tilde psi)hat_l(|z|) e^{i l arg z}``
-    at the exact radii of the dual grid and inverse transforms; must agree
-    with component ``m`` of :func:`invert` on range data.  Returns the scalar
+    at the exact radii of the dual grid, on the half plane ``ky >= 0``, and
+    inverse transforms it with one ``np.fft.irfft2``; must agree with
+    component ``m`` of :func:`invert` on range data.  Returns the scalar
     grid function.  ``convention`` is validated only, as in :func:`invert`.
     """
     _check_convention(convention)
-    spec = _quarter_turn_series(psi, grid, psi.m)
-    return inverse_fourier_transform_2d(spec, grid).real
+    return _inverse_half(_quarter_turn_series(psi, grid, psi.m), grid)
 
 
 def roundtrip_report(

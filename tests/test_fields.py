@@ -116,14 +116,23 @@ class TestSynthesizeSolenoidal:
         with pytest.raises(ValueError, match="decay"):
             synthesize_solenoidal(np.ones((64, 64), dtype=complex), 1, grid64)
 
-    def test_rejects_non_hermitian_amplitude(self, grid64):
-        # radial real amplitude with m = 1 would produce an imaginary field
+    @pytest.mark.parametrize("given_as", ["callable", "array"])
+    def test_rejects_non_hermitian_amplitude(self, given_as, grid64, monkeypatch):
+        # radial real amplitude with m = 1 would produce an imaginary field;
+        # the inverse transform reads half the plane, so it must be rejected
+        # before anything is transformed, not symmetrized
         def amplitude(qx, qy):
             q = np.hypot(qx, qy)
             return q * np.exp(-(q**2) / 2.0)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("transformed a non-Hermitian amplitude")
+
+        given = amplitude if given_as == "callable" else amplitude(*grid64.dual().mesh())
+        for name in ("ifft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, refuse)
         with pytest.raises(ValueError, match="conjugate symmetry"):
-            synthesize_solenoidal(amplitude, 1, grid64)
+            synthesize_solenoidal(given, 1, grid64)
 
 
 class TestSolenoidalProject:

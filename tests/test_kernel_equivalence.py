@@ -8,11 +8,15 @@ padded complex transform sampled over the full turn, the inversion series as
 the per-block quadrature of the whole sinogram summed harmonic by harmonic
 over every dual-grid point, the divergence gate as spatial rows transformed
 back from their spectra, and the projector as the 2D spline collapsed along
-the walking axis at every angle.  The
+the walking axis at every angle.  The complex-FFT forms of the kernels that
+now run on the half plane of real FFTs are kept too: the gate's
+``D(k) - conj D(-k)`` fold, the solenoidal projection, the synthesis and
+the coefficient route over the whole frequency plane.  The
 kernels fold, window, mirror or read off the spectrum that work, or build
 the projector's rows once per call, or build the p-kernel by angle
-addition; results must agree to rounding (relative 1e-13, and 1e-14 for the
-projector on decayed fields).
+addition, or transform half the frequency plane; results must agree to
+rounding (relative 1e-13, and 1e-14 for the projector on decayed fields and
+for the real-FFT kernels).
 """
 
 import numpy as np
@@ -21,6 +25,10 @@ from scipy import ndimage
 
 from tensorray import (
     CartesianGrid,
+    invert,
+    invert_coefficient_route,
+    solenoidal_project,
+    synthesize_solenoidal,
     PolarFrequencyGrid,
     Sinogram,
     TensorField2D,
@@ -34,7 +42,7 @@ from tensorray import (
 )
 from tensorray import inversion
 from tensorray.fields import tensor_weights
-from tensorray.grids import fourier_transform_2d, pad_samples
+from tensorray.grids import fourier_transform_2d, inverse_fourier_transform_2d, pad_samples
 from tensorray.inversion import _quarter_turn_series
 from tensorray.ray import _cubic_taps, _p_axis
 from tensorray.slices import _p_kernel, _tilde_table, sinogram_transform_values
@@ -137,6 +145,11 @@ def reference_quarter_turn_series(psi, grid, power, radii_per_block=512):
     return out.reshape(grid.n, grid.n)
 
 
+def half_plane(spectrum):
+    """A centered full-plane spectrum as the half plane ``ky = 0 .. n/2`` of ``rfft2``, fft order."""
+    return np.fft.ifftshift(spectrum)[:, : spectrum.shape[1] // 2 + 1]
+
+
 def reference_divergence_residual(f):
     """Rows ``ifft2(i (kx S_j + ky S_{j+1})).real`` in space, then their largest grid L2 norm."""
     k = 2.0 * np.pi * np.fft.fftfreq(f.grid.n, d=f.grid.spacing)
@@ -146,6 +159,68 @@ def reference_divergence_residual(f):
     h = f.grid.spacing
     norms = [np.sqrt(h * h * np.sum(row**2)) for row in rows]
     return max(norms) / field_l2_norm(f)
+
+
+def reference_divergence_fold(f):
+    """The gate over the whole plane: ``h sqrt(sum |D_j(k) - conj D_j(-k)|^2) / 2n``.
+
+    ``D_j = kx S_j + ky S_(j+1)`` from complex FFTs ``S_j``; the fold keeps
+    the part of ``i D_j`` that is the spectrum of a real row.
+    """
+    k = 2.0 * np.pi * np.fft.fftfreq(f.grid.n, d=f.grid.spacing)
+    spec = np.fft.fft2(f.components[0])
+    worst = 0.0
+    for comp in f.components[1:]:
+        nxt = np.fft.fft2(comp)
+        row = k[:, None] * spec + k[None, :] * nxt
+        row -= np.roll(row[::-1, ::-1], 1, axis=(0, 1)).conj()  # D(k) - conj D(-k)
+        worst = max(worst, np.vdot(row, row).real)
+        spec = nxt
+    return f.grid.spacing * np.sqrt(worst) / (2 * f.grid.n) / field_l2_norm(f)
+
+
+def reference_eta_monomials(grid, m):
+    """``eta1^(m-j) eta2^j`` over the whole fft-ordered frequency plane, 0 at y = 0."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    rad = np.hypot(kx, ky)
+    safe = np.where(rad > 0, rad, 1.0)
+    e1 = np.where(rad > 0, -ky / safe, 0.0)
+    e2 = np.where(rad > 0, kx / safe, 0.0)
+    j = np.arange(m + 1)[:, None, None]
+    return e1 ** (m - j) * e2**j
+
+
+def reference_solenoidal_project(f):
+    """Complex FFTs over the whole plane, Nyquist row and column zeroed, real part back."""
+    mono = reference_eta_monomials(f.grid, f.m)
+    specs = np.fft.fft2(f.components, axes=(1, 2))
+    inner = np.tensordot(tensor_weights(f.m), specs * mono, axes=(0, 0))
+    nyquist = f.grid.n // 2
+    inner[nyquist, :] = 0.0
+    inner[:, nyquist] = 0.0
+    out = inner * mono
+    out[:, 0, 0] = specs[:, 0, 0]
+    return np.fft.ifft2(out, axes=(1, 2)).real
+
+
+def reference_synthesize(amplitude, m, grid):
+    """``a eta^m`` over the whole plane, one complex inverse FFT per component, real part."""
+    spectra = np.fft.ifftshift(amplitude) * reference_eta_monomials(grid, m)
+    scale = 2.0 * np.pi / grid.spacing**2
+    return (np.fft.fftshift(np.fft.ifft2(spectra, axes=(1, 2)), axes=(1, 2)) * scale).real
+
+
+def reference_invert(psi, grid):
+    """The amplitude route: the full-plane series synthesized by complex FFTs."""
+    amplitude = (-1.0) ** psi.m * reference_quarter_turn_series(psi, grid, 0)
+    return reference_synthesize(amplitude, psi.m, grid)
+
+
+def reference_coefficient_route(psi, grid):
+    """The coefficient route: the full-plane series through the complex inverse transform."""
+    spec = reference_quarter_turn_series(psi, grid, psi.m)
+    return inverse_fourier_transform_2d(spec, grid).real
 
 
 def reference_forward(f, num_p, ntheta, pmax=None, t_step=None):
@@ -372,7 +447,8 @@ class TestHalfPlaneSeries:
     def test_matches_full_plane_loop_on_noise(self, m, power, num_p, grid64):
         psi = _noise_sinogram(m, num_p)
         got = _quarter_turn_series(psi, grid64, power)
-        assert relative_gap(got, reference_quarter_turn_series(psi, grid64, power)) < REL
+        ref = half_plane(reference_quarter_turn_series(psi, grid64, power))
+        assert relative_gap(got, ref) < REL
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_matches_full_plane_loop_on_range_data(self, m, grid128):
@@ -380,7 +456,7 @@ class TestHalfPlaneSeries:
         psi = forward(f, num_p=129, ntheta=64)
         for power in (0, m):
             got = _quarter_turn_series(psi, grid128, power)
-            ref = reference_quarter_turn_series(psi, grid128, power)
+            ref = half_plane(reference_quarter_turn_series(psi, grid128, power))
             assert relative_gap(got, ref) < REL
 
     def test_small_theta_grid_keeps_only_low_harmonics(self, grid64):
@@ -388,13 +464,14 @@ class TestHalfPlaneSeries:
         psi = _noise_sinogram(1, 33, ntheta=4)
         for power in (0, 1):
             got = _quarter_turn_series(psi, grid64, power)
-            assert relative_gap(got, reference_quarter_turn_series(psi, grid64, power)) < REL
+            ref = half_plane(reference_quarter_turn_series(psi, grid64, power))
+            assert relative_gap(got, ref) < REL
 
     def test_block_count_changes_neither_values_nor_transforms(self, monkeypatch, grid64):
         # the theta side runs once per call: per-block transforms would make
         # the FFT count grow with the number of radius blocks
         psi = _noise_sinogram(2, 65)
-        ref = reference_quarter_turn_series(psi, grid64, 2, radii_per_block=37)
+        ref = half_plane(reference_quarter_turn_series(psi, grid64, 2, radii_per_block=37))
         counts = []
         for block in (512, 37, 5):
             calls = []
@@ -454,19 +531,134 @@ class TestSpectralDivergenceGate:
         f = random_solenoidal_field(m, grid64, seed=1)  # synthesis itself transforms back
         expected = relative_divergence_residual(f)
         calls = []
-        fft2 = np.fft.fft2
+        rfft2 = np.fft.rfft2
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return fft2(*args, **kwargs)
+            return rfft2(*args, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the gate made an inverse transform")
 
-        monkeypatch.setattr(np.fft, "fft2", counted)
-        monkeypatch.setattr(np.fft, "ifft2", refuse)
+        monkeypatch.setattr(np.fft, "rfft2", counted)
+        for name in ("ifft", "irfft", "ifft2", "irfft2", "ifftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
         assert relative_divergence_residual(f) == expected
         assert len(calls) == m + 1
+
+
+def _noise_field(m, n=64, seed=0):
+    # seeded noise has content up to the Nyquist row and column
+    rng = np.random.default_rng(1000 * seed + 10 * n + m)
+    grid = CartesianGrid(n=n, radius=8.0)
+    return TensorField2D(m=m, grid=grid, components=rng.standard_normal((m + 1, n, n)))
+
+
+def _noise_amplitude(m, grid, seed=0):
+    """A seeded amplitude of a real field: noise, conjugate-symmetrized, zero on the boundary."""
+    rng = np.random.default_rng(50 + 10 * m + seed)
+    n = grid.n
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    amp = np.zeros((n, n), dtype=complex)
+    inner = noise[1:, 1:]
+    amp[1:, 1:] = 0.5 * (inner + (-1.0) ** m * np.conj(inner[::-1, ::-1]))
+    amp[[1, -1], :] = 0.0
+    amp[:, [1, -1]] = 0.0
+    return amp
+
+
+def _gaussian_amplitude(m, grid, width):
+    qx, qy = grid.dual().mesh()
+    q = np.hypot(qx, qy)
+    phi = np.arctan2(qy, qx)
+    return (1j**m) * (q * width) ** m * np.exp(-((q * width) ** 2) / 2.0) * (1.0 + 0.3 * np.cos(2 * phi))
+
+
+class TestRealTransformKernels:
+    # each kernel that transforms half the frequency plane against its
+    # complex-FFT form over the whole plane, to 1e-14 of the peak; the gate's
+    # residual is relative to the field norm, so its gap is too
+    TOL = 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_gate_matches_fold(self, m, grid256):
+        fields = [_noise_field(m, seed=s) for s in range(3)] + [_noise_field(m, n=256)]
+        fields += [gaussian_test_field(m, kind, grid256, width=w)
+                   for kind in ("generic", "potential", "solenoidal") for w in (0.8, 1.0)]
+        fields.append(random_solenoidal_field(m, grid256, seed=7 + m))
+        for f in fields:
+            ref = reference_divergence_fold(f)
+            assert abs(relative_divergence_residual(f) - ref) < self.TOL * max(ref, 1.0)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_projection_matches_whole_plane(self, m, grid128):
+        fields = [_noise_field(m, seed=s) for s in range(3)]
+        fields += [gaussian_test_field(m, "generic", grid128, width=w) for w in (0.8, 1.0)]
+        if m > 0:
+            fields.append(gaussian_test_field(m, "potential", grid128))
+        for f in fields:
+            got = solenoidal_project(f).components
+            ref = f.components if m == 0 else reference_solenoidal_project(f)
+            # potential fields project to rounding: the scale is the input's
+            assert np.abs(got - ref).max() < self.TOL * np.abs(f.components).max()
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_synthesis_matches_whole_plane(self, m, grid64, grid128):
+        cases = [(_noise_amplitude(m, grid64, seed=s), grid64) for s in range(3)]
+        cases += [(_gaussian_amplitude(m, grid128, w), grid128) for w in (0.8, 1.0)]
+        for amp, grid in cases:
+            got = synthesize_solenoidal(amp, m, grid).components
+            assert relative_gap(got, reference_synthesize(amp, m, grid)) < self.TOL
+
+    def test_callable_synthesis_matches_samples(self, grid128):
+        def amplitude(qx, qy):
+            q = np.hypot(qx, qy)
+            rho = (0.9 * q) ** 3 * np.exp(-((0.9 * q) ** 2) / 2.0)
+            return -1j * rho * (1.0 + 0.5 * np.sin(2.0 * np.arctan2(qy, qx)))
+
+        got = synthesize_solenoidal(amplitude, 3, grid128).components
+        ref = reference_synthesize(amplitude(*grid128.dual().mesh()), 3, grid128)
+        assert relative_gap(got, ref) < self.TOL
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("num_p", [64, 65])
+    def test_inversion_routes_match_whole_plane_on_noise(self, m, num_p, grid64):
+        psi = _noise_sinogram(m, num_p, seed=3)
+        got = invert(psi, grid64, check_range=False).components
+        assert relative_gap(got, reference_invert(psi, grid64)) < self.TOL
+        got = invert_coefficient_route(psi, grid64)
+        assert relative_gap(got, reference_coefficient_route(psi, grid64)) < self.TOL
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("kind", ["gaussian", "random"])
+    def test_inversion_routes_match_whole_plane_on_range_data(self, m, kind, grid128):
+        if kind == "random":
+            f = _decayed_field(m, grid128)
+        else:
+            f = gaussian_test_field(m, "solenoidal", grid128, width=0.8)
+        psi = forward(f, num_p=129, ntheta=64)
+        got = invert(psi, grid128, check_range=False).components
+        assert relative_gap(got, reference_invert(psi, grid128)) < self.TOL
+        got = invert_coefficient_route(psi, grid128)
+        assert relative_gap(got, reference_coefficient_route(psi, grid128)) < self.TOL
+
+
+def test_no_complex_2d_transform_in_the_solenoidal_kernels(monkeypatch, grid64):
+    # the gate, the projection and both inversion routes transform real data
+    # on the half plane; a complex fft2 or ifft2 creeping back in fails here
+    f = random_solenoidal_field(2, grid64, seed=11)
+    generic = gaussian_test_field(2, "generic", grid64)
+    psi = forward(f, num_p=65, ntheta=32)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex 2D transform of real data")
+
+    monkeypatch.setattr(np.fft, "fft2", refuse)
+    monkeypatch.setattr(np.fft, "ifft2", refuse)
+    assert relative_divergence_residual(f) < 1e-12
+    assert relative_divergence_residual(solenoidal_project(generic)) < 1e-12
+    assert invert(psi, grid64).m == 2
+    assert invert_coefficient_route(psi, grid64).shape == (64, 64)
 
 
 def _decayed_field(m, grid):
