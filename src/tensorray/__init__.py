@@ -16,7 +16,6 @@ from .fields import (
     relative_divergence_residual,
     relative_l2_error,
     solenoidal_project,
-    symmetrized_gradient,
     synthesize_solenoidal,
     tensor_weights,
 )
@@ -24,8 +23,6 @@ from .grids import (
     CartesianGrid,
     PolarFrequencyGrid,
     fourier_transform_2d,
-    inverse_fourier_transform_2d,
-    pad_samples,
     polar_sample,
 )
 from .inversion import (
@@ -88,11 +85,9 @@ __all__ = [
     "fst_scalar_residual",
     "fst_solenoidal_residual",
     "gaussian_test_field",
-    "inverse_fourier_transform_2d",
     "invert",
     "invert_coefficient_route",
     "measure_slice_constant",
-    "pad_samples",
     "parity_residual",
     "polar_sample",
     "random_solenoidal_field",
@@ -105,7 +100,6 @@ __all__ = [
     "roundtrip_report",
     "sinogram_norm",
     "solenoidal_project",
-    "symmetrized_gradient",
     "synthesize_solenoidal",
     "tensor_weights",
     "tilde_coefficients",

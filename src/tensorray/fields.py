@@ -13,21 +13,22 @@ A rank-``m`` symmetric tensor field in two dimensions is determined by the
   component ``j`` equals ``a * (-sin phi)^(m-j) * (cos phi)^j`` in polar
   frequency coordinates.
 
-:func:`synthesize_solenoidal` builds fields from an amplitude ``a``, and
-:func:`solenoidal_project` is the frequency-wise orthogonal projection onto
-that line.  :func:`gaussian_test_field` provides deterministic, rapidly
-decaying test fields of each kind in closed form: every component is a
-Gaussian times a Hermite polynomial in ``(x/w, y/w)``, one coefficient table
-per kind and rank, so their line integrals have closed forms too.
-:func:`random_solenoidal_field` is synthesized from its seeded amplitude.
+:func:`synthesize_solenoidal` builds fields from samples of an amplitude
+``a``, and :func:`solenoidal_project` is the frequency-wise orthogonal
+projection onto that line.  :func:`gaussian_test_field` provides
+deterministic, rapidly decaying test fields of each kind in closed form:
+every component is a Gaussian times a Hermite polynomial in ``(x/w, y/w)``,
+one coefficient table per kind and rank, so their line integrals have
+closed forms too.
+:func:`random_solenoidal_field` is synthesized from its seeded amplitude, a
+Gaussian times a polynomial in ``w (qx + i qy)`` and its conjugate.
 
 Components are real, so every spectrum here is Hermitian and is formed only
 on the half plane ``ky = 0 .. n/2`` of a real FFT (``np.fft.rfft2`` /
-``np.fft.irfft2``, fft order): the gate, the projection, the synthesis and
-:func:`symmetrized_gradient` take no complex 2D transform.  The half plane's
-``ky = 0`` and Nyquist columns hold their own mirrors; what each function
-does on the Nyquist row and column, where ``y`` and ``-y`` share a bin, is
-stated in its docstring.
+``np.fft.irfft2``, fft order): the gate, the projection and the synthesis
+take no complex 2D transform.  The half plane's ``ky = 0`` and Nyquist
+columns hold their own mirrors; what each function does on the Nyquist row
+and column, where ``y`` and ``-y`` share a bin, is stated in its docstring.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "synthesize_solenoidal",
     "gaussian_test_field",
     "random_solenoidal_field",
-    "symmetrized_gradient",
     "component_spectrum_polar",
 ]
 
@@ -64,6 +64,9 @@ _SOLENOIDAL_TOL = 1e-6
 
 # Angular harmonics |l| <= this in the amplitude of random_solenoidal_field.
 _RANDOM_MAX_HARMONIC = 3
+
+# Narrowest generator width, in grid spacings (see _check_width).
+_MIN_WIDTH_IN_SPACINGS = 2.5
 
 
 @dataclass(frozen=True)
@@ -266,9 +269,8 @@ def _inverse_half(spectrum: np.ndarray, grid: CartesianGrid) -> np.ndarray:
 
     ``spectrum`` is given on the half plane of :func:`_half_frequencies`
     (fft order, ``ky = 0 .. n/2``); the other half is its conjugate mirror.
-    Equals the real part of
-    :func:`~tensorray.grids.inverse_fourier_transform_2d` of the Hermitian
-    spectrum, from one ``np.fft.irfft2``.
+    The inverse of :func:`~tensorray.grids.fourier_transform_2d` for real
+    functions, from one ``np.fft.irfft2``.
     """
     out = np.fft.fftshift(np.fft.irfft2(spectrum, s=(grid.n, grid.n)))
     out *= 2.0 * np.pi / grid.spacing**2
@@ -288,16 +290,16 @@ def _synthesize_half(amplitude: np.ndarray, m: int, grid: CartesianGrid) -> Tens
     return TensorField2D(m=m, grid=grid, components=comps)
 
 
-def synthesize_solenoidal(amplitude, m: int, grid: CartesianGrid) -> TensorField2D:
+def synthesize_solenoidal(amplitude: np.ndarray, m: int, grid: CartesianGrid) -> TensorField2D:
     """Build the solenoidal field with spectrum ``a(y) * eta(y)^(tensor m)``.
 
     Parameters
     ----------
-    amplitude : ndarray or callable
-        Either samples of ``a`` on ``grid.dual()`` (shape ``(n, n)``, axis 0
-        the x-frequency), or a callable ``a(qx, qy)`` evaluated there.  The
-        amplitude must decay at the dual-grid boundary and must satisfy the
-        conjugate symmetry ``a(-y) = (-1)^m * conj(a(y))`` of real fields.
+    amplitude : ndarray
+        Samples of ``a`` on ``grid.dual()`` (shape ``(n, n)``, axis 0 the
+        x-frequency), for example ``a(*grid.dual().mesh())``.  The amplitude
+        must decay at the dual-grid boundary and must satisfy the conjugate
+        symmetry ``a(-y) = (-1)^m * conj(a(y))`` of real fields.
     m : int
         Tensor rank.  For ``m = 0`` the amplitude is the spectrum itself.
     grid : CartesianGrid
@@ -319,12 +321,7 @@ def synthesize_solenoidal(amplitude, m: int, grid: CartesianGrid) -> TensorField
     (``np.fft.irfft2``); without the symmetry check a violation there would
     be symmetrized silently instead of rejected.
     """
-    dual = grid.dual()
-    if callable(amplitude):
-        qx, qy = dual.mesh()
-        amp = np.asarray(amplitude(qx, qy), dtype=complex)
-    else:
-        amp = np.asarray(amplitude, dtype=complex)
+    amp = np.asarray(amplitude, dtype=complex)
     if amp.shape != (grid.n, grid.n):
         raise ValueError(f"expected amplitude of shape {(grid.n, grid.n)}, got {amp.shape}")
     if not np.isfinite(amp).all():
@@ -356,33 +353,22 @@ def synthesize_solenoidal(amplitude, m: int, grid: CartesianGrid) -> TensorField
     return _synthesize_half(np.fft.ifftshift(amp)[:, : grid.n // 2 + 1], m, grid)
 
 
-def symmetrized_gradient(v: TensorField2D) -> TensorField2D:
-    """Symmetrized spectral derivative: rank ``m`` field from a rank ``m-1`` one.
-
-    Component ``j`` of the result is
-    ``((m - j) * d(v_j)/dx + j * d(v_{j-1})/dy) / m``.  Fields of this form
-    (with decaying ``v``) integrate to zero along every line, so they span
-    the kernel of the forward ray transform.
-    """
-    m = v.m + 1
-    kx, ky = _derivative_frequencies(v.grid)
-    kx = kx[:, None]
-    specs = np.fft.rfft2(v.components, axes=(1, 2))
-    comps = np.empty((m + 1, v.grid.n, v.grid.n))
-    for j in range(m + 1):
-        acc = np.zeros_like(specs[0])
-        if j <= m - 1:
-            acc += (m - j) * 1j * kx * specs[j]
-        if j >= 1:
-            acc += j * 1j * ky * specs[j - 1]
-        comps[j] = np.fft.irfft2(acc / m, s=comps[j].shape)
-    return TensorField2D(m=m, grid=v.grid, components=comps)
-
-
 def _check_width(width: float, grid: CartesianGrid) -> None:
-    """A generator's Gaussian width: positive, finite and at most ``radius / 6``."""
+    """A generator's Gaussian width: finite and in ``[2.5 h, radius / 6]``.
+
+    At ``w = 2.5 h`` a Gaussian spectrum of degree ``<= 8`` has fallen below
+    ``1e-8`` of its peak at the Nyquist frequency ``pi / h``, the edge level
+    :func:`synthesize_solenoidal` accepts; narrower fields alias, and their
+    samples fail the divergence gate.
+    """
     if not 0.0 < width < np.inf:
         raise ValueError(f"width must be positive and finite, got {width}")
+    if width < _MIN_WIDTH_IN_SPACINGS * grid.spacing:
+        raise ValueError(
+            f"width {width} is below {_MIN_WIDTH_IN_SPACINGS:g} x grid spacing = "
+            f"{_MIN_WIDTH_IN_SPACINGS * grid.spacing}; the spectrum would not "
+            "decay by the Nyquist frequency"
+        )
     if grid.radius < 6.0 * width:
         raise ValueError(
             f"grid radius {grid.radius} is below 6 x width = {6.0 * width}; "
@@ -437,14 +423,15 @@ def gaussian_test_field(m: int, kind: str, grid: CartesianGrid, width: float = 1
     -----
     ``solenoidal``
         Divergence free: ``w^max(m-2,0) (d/dx)^j (-d/dy)^(m-j) G``; for
-        ``m >= 2`` the field :func:`synthesize_solenoidal` builds from the
-        amplitude ``i^m (q w)^m exp(-q^2 w^2 / 2)``.  ``m = 0``: ``G``
-        (scalar fields are vacuously solenoidal); ``m = 1``:
+        ``m >= 2`` the field :func:`synthesize_solenoidal` builds from
+        samples of the amplitude ``i^m (q w)^m exp(-q^2 w^2 / 2)``.
+        ``m = 0``: ``G`` (scalar fields are vacuously solenoidal); ``m = 1``:
         ``(-dG/dy, dG/dx)``; ``m = 2``: ``(G_yy, -G_xy, G_xx)``.
     ``potential``
-        Symmetrized gradient (see :func:`symmetrized_gradient`) of the rank
-        ``m-1`` generic field; annihilated by the forward ray transform.
-        Not defined for ``m = 0``.
+        Symmetrized gradient of the rank ``m-1`` generic field ``v``, whose
+        component ``j`` is ``((m - j) d(v_j)/dx + j d(v_(j-1))/dy) / m``;
+        annihilated by the forward ray transform.  Not defined for
+        ``m = 0``.
     ``generic``
         ``m = 0``: the Gaussian.  Otherwise the sum of the solenoidal and
         potential fields above, so both parts are present.
@@ -476,29 +463,45 @@ def random_solenoidal_field(
     over ``|l| <= 3``, with the coefficients drawn from ``seed`` and paired
     so the field is real.  The ``q^(m+|l|)`` factors keep every spectrum
     component smooth at the origin, hence the field rapidly decaying.
+
+    With ``Z = w (qx + i qy)``, ``(q w)^(m+l) e^{i l phi} = (q w)^m Z^l``,
+    so the amplitude is sampled on ``grid.dual()`` as ``(q w)^m
+    exp(-(q w)^2 / 2)`` times ``c_0 + sum_(l>0) [c_l Z^l + (-1)^(m+l)
+    conj(c_l Z^l)]``, with no angle or complex exponential per harmonic.
     """
     _check_width(width, grid)
     rng = np.random.default_rng(seed)
-    coeffs: dict[int, complex] = {}
+    coeffs = []
     for l in range(_RANDOM_MAX_HARMONIC + 1):
         c = complex(rng.standard_normal(), rng.standard_normal())
         if l == 0:
             # realness pairs l with -l; the l = 0 coefficient pairs with itself
             c = 0.5 * (c + (-1.0) ** m * np.conj(c))
-        coeffs[l] = c
+        coeffs.append(c)
+    return synthesize_solenoidal(_polynomial_amplitude(coeffs, m, width, grid), m, grid)
 
-    def amplitude(qx, qy):
-        q = np.hypot(qx, qy)
-        phi = np.arctan2(qy, qx)
-        total = np.zeros_like(q, dtype=complex)
-        for l, c in coeffs.items():
-            rho = (q * width) ** (m + l) * np.exp(-((q * width) ** 2) / 2.0)
-            total += c * rho * np.exp(1j * l * phi)
-            if l > 0:
-                total += (-1.0) ** (m + l) * np.conj(c) * rho * np.exp(-1j * l * phi)
-        return total
 
-    return synthesize_solenoidal(amplitude, m, grid)
+def _polynomial_amplitude(
+    coeffs: list[complex], m: int, width: float, grid: CartesianGrid
+) -> np.ndarray:
+    """The amplitude of :func:`random_solenoidal_field` on ``grid.dual()``, ``c_l = coeffs[l]``.
+
+    Its own function so that its working arrays are freed before the
+    synthesis runs.
+    """
+    qx, qy = grid.dual().mesh()
+    z = width * (qx + 1j * qy)
+    del qx, qy  # Z holds them; freed before the loop's temporaries peak
+    amp = np.full(z.shape, coeffs[0])
+    power = np.ones_like(z)
+    for l, c in enumerate(coeffs[1:], start=1):
+        power *= z
+        term = c * power
+        amp += term
+        amp += (-1.0) ** (m + l) * term.conj()
+    qw_sq = z.real**2 + z.imag**2
+    amp *= np.sqrt(qw_sq) ** m * np.exp(-qw_sq / 2.0)
+    return amp
 
 
 def component_spectrum_polar(

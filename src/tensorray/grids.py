@@ -4,8 +4,8 @@ This module is the numerical substrate for everything else in the package:
 
 * :class:`CartesianGrid` — centered square grid on ``[-R, R]^2`` with an even
   number of samples per axis, together with its dual (frequency) grid.
-* :func:`fourier_transform_2d` / :func:`inverse_fourier_transform_2d` — FFTs
-  rescaled so that the output approximates the continuous transform
+* :func:`fourier_transform_2d` — the FFT rescaled so that the output
+  approximates the continuous transform
   ``(2*pi)^(-1) * integral(exp(-i<y,x>) f(x) dx)`` on the dual grid.  All
   analytic identities used by the higher-level modules are stated for the
   continuous transform, so the discrete operators match that normalization
@@ -34,8 +34,6 @@ __all__ = [
     "CartesianGrid",
     "PolarFrequencyGrid",
     "fourier_transform_2d",
-    "inverse_fourier_transform_2d",
-    "pad_samples",
     "angular_coefficient_matrix",
     "polar_sample",
 ]
@@ -144,7 +142,8 @@ def fourier_transform_2d(values: np.ndarray, grid: CartesianGrid) -> np.ndarray:
     ndarray, shape (n, n), complex
         ``fhat(y)`` sampled on ``grid.dual()``, approximating
         ``(2*pi)^(-1) * integral(exp(-i<y,x>) f(x) dx)`` by trapezoid
-        quadrature.  Exact inverse of :func:`inverse_fourier_transform_2d`.
+        quadrature.  The centred ``np.fft.ifft2`` scaled by ``2 pi / h^2``
+        inverts it exactly.
     """
     values = np.asarray(values)
     if values.shape != (grid.n, grid.n):
@@ -153,35 +152,6 @@ def fourier_transform_2d(values: np.ndarray, grid: CartesianGrid) -> np.ndarray:
     h = grid.spacing
     spec = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(values)))
     return spec * (h * h / (2.0 * np.pi))
-
-
-def inverse_fourier_transform_2d(spectrum: np.ndarray, grid: CartesianGrid) -> np.ndarray:
-    """Inverse of :func:`fourier_transform_2d` (composition is the identity).
-
-    ``spectrum`` lives on ``grid.dual()``; the result lives on ``grid`` and is
-    complex — callers that expect a real field take the real part themselves.
-    """
-    spectrum = np.asarray(spectrum)
-    if spectrum.shape != (grid.n, grid.n):
-        raise ValueError(f"expected shape {(grid.n, grid.n)}, got {spectrum.shape}")
-    _check_finite(spectrum, "input spectrum")
-    h = grid.spacing
-    out = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(spectrum)))
-    return out * (2.0 * np.pi / (h * h))
-
-
-def pad_samples(values: np.ndarray, grid: CartesianGrid, factor: int) -> tuple[np.ndarray, CartesianGrid]:
-    """Embed samples in a ``factor`` times larger grid, zero outside.
-
-    Valid for fields that already decay at the boundary of ``grid``; the
-    padded transform then samples the same continuous spectrum on a grid
-    ``factor`` times finer.
-    """
-    big = grid.padded(factor)
-    out = np.zeros((big.n, big.n), dtype=np.asarray(values).dtype)
-    off = (big.n - grid.n) // 2
-    out[off : off + grid.n, off : off + grid.n] = values
-    return out, big
 
 
 def angular_coefficient_matrix(samples: np.ndarray, lmax: int) -> np.ndarray:

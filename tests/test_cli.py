@@ -87,6 +87,16 @@ class TestGenerate:
         assert "width must be positive and finite" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["gaussian", "seeded"])
+    def test_width_below_the_spacing_bound_exit_code(self, capsys, tmp_path, seed):
+        # n = 256, R = 8: the bound is 2.5 h = 0.156
+        out_path = tmp_path / "x.tf2d"
+        code, _, err = run(capsys, "generate", "--m", "1", "--kind", "solenoidal", *seed,
+                           "--width", "0.05", "-o", str(out_path))
+        assert code == 2
+        assert "2.5 x grid spacing" in err
+        assert not out_path.exists()
+
     def test_seed_requires_solenoidal(self, capsys, tmp_path):
         code, _, err = run(capsys, "generate", "--m", "1", "--kind", "generic",
                            "--seed", "3", "--n", "64", "--radius", "8",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from references import symmetrized_gradient
 from tensorray import (
     PolarFrequencyGrid,
     TensorField2D,
@@ -14,7 +15,6 @@ from tensorray import (
     relative_divergence_residual,
     relative_l2_error,
     solenoidal_project,
-    symmetrized_gradient,
     synthesize_solenoidal,
 )
 
@@ -64,7 +64,7 @@ class TestSynthesizeSolenoidal:
         def amplitude(qx, qy):
             return np.exp(-(qx**2 + qy**2) / 2.0)
 
-        f = synthesize_solenoidal(amplitude, 0, grid128)
+        f = synthesize_solenoidal(amplitude(*grid128.dual().mesh()), 0, grid128)
         _, _, g = gaussian_parts(grid128)
         assert np.abs(f.component(0) - g).max() < 1e-12
 
@@ -74,7 +74,7 @@ class TestSynthesizeSolenoidal:
             q = np.hypot(qx, qy)
             return 1j * q * np.exp(-(q**2) / 2.0)
 
-        f = synthesize_solenoidal(amplitude, 1, grid128)
+        f = synthesize_solenoidal(amplitude(*grid128.dual().mesh()), 1, grid128)
         assert relative_divergence_residual(f) < 1e-8
         ref = gaussian_test_field(1, "solenoidal", grid128)
         assert relative_l2_error(f, ref) < 1e-10
@@ -88,7 +88,7 @@ class TestSynthesizeSolenoidal:
             q = np.hypot(qx, qy)
             return (1j**m) * q**m * np.exp(-(q**2) / 2.0)
 
-        f = synthesize_solenoidal(amplitude, m, grid128)
+        f = synthesize_solenoidal(amplitude(*grid128.dual().mesh()), m, grid128)
         specs = [fourier_transform_2d(f.component(j), grid128) for j in range(m + 1)]
         qx, qy = grid128.dual().mesh()
         scale = max(np.abs(s).max() for s in specs)
@@ -116,19 +116,16 @@ class TestSynthesizeSolenoidal:
         with pytest.raises(ValueError, match="decay"):
             synthesize_solenoidal(np.ones((64, 64), dtype=complex), 1, grid64)
 
-    @pytest.mark.parametrize("given_as", ["callable", "array"])
-    def test_rejects_non_hermitian_amplitude(self, given_as, grid64, monkeypatch):
+    def test_rejects_non_hermitian_amplitude(self, grid64, monkeypatch):
         # radial real amplitude with m = 1 would produce an imaginary field;
         # the inverse transform reads half the plane, so it must be rejected
         # before anything is transformed, not symmetrized
-        def amplitude(qx, qy):
-            q = np.hypot(qx, qy)
-            return q * np.exp(-(q**2) / 2.0)
+        q = np.hypot(*grid64.dual().mesh())
+        given = q * np.exp(-(q**2) / 2.0)
 
         def refuse(*args, **kwargs):
             raise AssertionError("transformed a non-Hermitian amplitude")
 
-        given = amplitude if given_as == "callable" else amplitude(*grid64.dual().mesh())
         for name in ("ifft2", "irfft2"):
             monkeypatch.setattr(np.fft, name, refuse)
         with pytest.raises(ValueError, match="conjugate symmetry"):
@@ -267,6 +264,28 @@ class TestGeneratorWidth:
             random_solenoidal_field(1, grid64, seed=3, width=width)
         with pytest.raises(ValueError, match="width must be positive and finite"):
             gaussian_test_field(1, "solenoidal", grid64, width=width)
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    @pytest.mark.parametrize("width", [0.02, 0.05, 0.15])
+    def test_narrower_than_the_spacing_bound_rejected(self, m, width, grid256):
+        # h = 0.0625, so the bound is 0.156; at w = 0.05 the solenoidal kind
+        # used to be written with a divergence residual of 1.9
+        for kind in ("solenoidal", "generic"):
+            with pytest.raises(ValueError, match="2.5 x grid spacing"):
+                gaussian_test_field(m, kind, grid256, width=width)
+        with pytest.raises(ValueError, match="2.5 x grid spacing"):
+            random_solenoidal_field(m, grid256, seed=3, width=width)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_narrowest_width_passes_the_gate(self, m, grid64, grid256):
+        # measured at w = 2.5 h: <= 8.1e-11 for the solenoidal kind (n = 64
+        # and 256), <= 1.1e-9 for random fields (seeds 0-19, n = 256)
+        for grid in (grid64, grid256):
+            f = gaussian_test_field(m, "solenoidal", grid, width=2.5 * grid.spacing)
+            assert relative_divergence_residual(f) < 1e-8
+        for seed in (0, 1, 2):
+            f = random_solenoidal_field(m, grid256, seed=seed, width=2.5 * grid256.spacing)
+            assert relative_divergence_residual(f) < 1e-8
 
 
 class TestComponentSpectrumPolar:

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from tensorray import (
-    CartesianGrid,
-    PolarFrequencyGrid,
-    fourier_transform_2d,
-    inverse_fourier_transform_2d,
-    pad_samples,
-    polar_sample,
-)
+from references import inverse_fourier_transform_2d, pad_samples
+from tensorray import CartesianGrid, PolarFrequencyGrid, fourier_transform_2d, polar_sample
 from tensorray.grids import angular_coefficient_matrix
 
 
