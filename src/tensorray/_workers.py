@@ -1,8 +1,9 @@
 """Run a kernel's independent tasks on the available cores.
 
-The projector's angles, the spectrum sampler's real and imaginary spline
-passes and the inversion series' radius blocks do not depend on each other,
-and the numpy and scipy calls that do their work release the GIL.  Each is
+The projector's geometries (an angle, or an angle and its partner
+``pi/2 - theta``), the spectrum sampler's real and imaginary spline passes
+and the inversion series' radius blocks do not depend on each other, and
+the numpy and scipy calls that do their work release the GIL.  Each is
 split here over up to ``min(CPUs available, 4, tasks)`` threads: task ``k``
 goes to thread ``k % workers``, the calling thread included.  Every task is
 computed the same way on any thread and writes its own part of the output,
@@ -20,7 +21,8 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 # at most this many threads run a call's tasks: each holds its own working
-# buffers (1.6 MB per projector thread at desk scale)
+# buffers (1.7 MB per projector thread at desk scale: a pair's rows and one
+# sparse operator for a block of lines)
 _MAX_WORKERS = 4
 
 

@@ -68,6 +68,11 @@ _RANDOM_MAX_HARMONIC = 3
 # Narrowest generator width, in grid spacings (see _check_width).
 _MIN_WIDTH_IN_SPACINGS = 2.5
 
+# Edge-to-peak ratio a random field's amplitude may reach at the
+# frequency-grid edge (see _check_width): half the 1e-8 that
+# synthesize_solenoidal accepts.
+_RANDOM_EDGE_RATIO = 5e-9
+
 
 @dataclass(frozen=True)
 class TensorField2D:
@@ -353,13 +358,18 @@ def synthesize_solenoidal(amplitude: np.ndarray, m: int, grid: CartesianGrid) ->
     return _synthesize_half(np.fft.ifftshift(amp)[:, : grid.n // 2 + 1], m, grid)
 
 
-def _check_width(width: float, grid: CartesianGrid) -> None:
+def _check_width(width: float, grid: CartesianGrid, degree: int | None = None) -> None:
     """A generator's Gaussian width: finite and in ``[2.5 h, radius / 6]``.
 
     At ``w = 2.5 h`` a Gaussian spectrum of degree ``<= 8`` has fallen below
     ``1e-8`` of its peak at the Nyquist frequency ``pi / h``, the edge level
     :func:`synthesize_solenoidal` accepts; narrower fields alias, and their
     samples fail the divergence gate.
+
+    A ``degree`` bounds an amplitude that :func:`synthesize_solenoidal`
+    checks itself, ``(q w)^degree exp(-(q w)^2 / 2)`` at its highest power:
+    the width must also be at least :func:`_narrowest_width` for it, so that
+    the amplitude is below ``5e-9`` of its peak at the nearest grid edge.
     """
     if not 0.0 < width < np.inf:
         raise ValueError(f"width must be positive and finite, got {width}")
@@ -374,6 +384,34 @@ def _check_width(width: float, grid: CartesianGrid) -> None:
             f"grid radius {grid.radius} is below 6 x width = {6.0 * width}; "
             "samples would not decay at the boundary"
         )
+    narrowest = 0.0 if degree is None else _narrowest_width(degree, grid)
+    if width < narrowest:
+        raise ValueError(
+            f"width {width} is below {narrowest:.6g}, the narrowest at which a "
+            f"degree-{degree} spectrum decays by the frequency-grid edge "
+            f"(n = {grid.n}, radius = {grid.radius}); the synthesis would wrap"
+        )
+
+
+def _narrowest_width(degree: int, grid: CartesianGrid) -> float:
+    """Narrowest ``w`` at which ``(q w)^d exp(-(q w)^2 / 2)``, ``d = degree``,
+    has fallen to ``5e-9`` of its peak at the nearest frequency-grid edge.
+
+    The dual grid's edge rows nearest the origin sit at ``pi/h - pi/R``, one
+    spacing inside the Nyquist frequency.  With ``u = (q w)^2 / d`` the
+    ratio to the peak at ``u = 1`` is ``(u e^(1-u))^(d/2)``; Newton's method
+    solves ``u - ln u = 1 + c`` for ``u > 1``, ``c = -2 ln(5e-9) / d``.  A
+    random field's amplitude sums such terms over ``d = m .. m + 3``, and
+    the highest one sets its edge: at ``w = 2.5 h``, over seeds 0-199 at
+    ``n = 32 .. 256`` and ``m = 0 .. 6``, its edge-to-peak ratio stayed
+    within 1.01 of this term's alone, so the bound keeps it below the
+    ``1e-8`` the synthesis accepts with a factor 2 to spare.
+    """
+    c = -2.0 * np.log(_RANDOM_EDGE_RATIO) / degree
+    u = 1.0 + c + np.log1p(c)  # left of the root: the iterates overshoot once, then descend
+    for _ in range(6):
+        u -= (u - np.log(u) - 1.0 - c) / (1.0 - 1.0 / u)
+    return float(np.sqrt(u * degree) / (np.pi * (1.0 / grid.spacing - 1.0 / grid.radius)))
 
 
 def _solenoidal_table(m: int, width: float) -> np.ndarray:
@@ -469,7 +507,9 @@ def random_solenoidal_field(
     exp(-(q w)^2 / 2)`` times ``c_0 + sum_(l>0) [c_l Z^l + (-1)^(m+l)
     conj(c_l Z^l)]``, with no angle or complex exponential per harmonic.
     """
-    _check_width(width, grid)
+    if m < 0:
+        raise ValueError(f"tensor rank must be >= 0, got {m}")
+    _check_width(width, grid, degree=m + _RANDOM_MAX_HARMONIC)
     rng = np.random.default_rng(seed)
     coeffs = []
     for l in range(_RANDOM_MAX_HARMONIC + 1):

@@ -5,6 +5,7 @@ import pytest
 
 from references import symmetrized_gradient
 from tensorray import (
+    CartesianGrid,
     PolarFrequencyGrid,
     TensorField2D,
     component_spectrum_polar,
@@ -17,6 +18,7 @@ from tensorray import (
     solenoidal_project,
     synthesize_solenoidal,
 )
+from tensorray import fields
 
 
 def gaussian_parts(grid):
@@ -286,6 +288,27 @@ class TestGeneratorWidth:
         for seed in (0, 1, 2):
             f = random_solenoidal_field(m, grid256, seed=seed, width=2.5 * grid256.spacing)
             assert relative_divergence_residual(f) < 1e-8
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_every_admitted_random_width_synthesizes(self, m, n):
+        # the amplitude's edge-to-peak ratio at its narrowest admitted width
+        # stays below the 1e-8 synthesize_solenoidal accepts for every seed;
+        # at n = 64, m = 4 the width 2.5 h is refused up front (it used to
+        # pass the width check and fail the synthesis for 10 of seeds 0-19)
+        grid = CartesianGrid(n, 8.0)
+        narrowest = fields._narrowest_width(m + 3, grid)
+        width = max(narrowest, 2.5 * grid.spacing)
+        for seed in range(20):
+            random_solenoidal_field(m, grid, seed=seed, width=width)
+        if narrowest > 2.5 * grid.spacing:
+            with pytest.raises(ValueError, match="frequency-grid edge"):
+                random_solenoidal_field(m, grid, seed=0, width=0.999 * narrowest)
+        assert (narrowest > 2.5 * grid.spacing) == (n == 64 and m == 4)
+
+    def test_random_rank_checked(self, grid64):
+        with pytest.raises(ValueError, match="tensor rank must be >= 0"):
+            random_solenoidal_field(-1, grid64, seed=0)
 
 
 class TestComponentSpectrumPolar:

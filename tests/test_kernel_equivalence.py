@@ -8,14 +8,15 @@ padded complex transform sampled over the full turn, the inversion series as
 the per-block quadrature of the whole sinogram summed harmonic by harmonic
 over every dual-grid point, the divergence gate as spatial rows transformed
 back from their spectra, and the projector as the 2D spline collapsed along
-the walking axis at every angle.  The complex-FFT forms of the kernels that
-now run on the half plane of real FFTs are kept too: the gate's
-``D(k) - conj D(-k)`` fold, the solenoidal projection, the synthesis and
-the coefficient route over the whole frequency plane.  So is the random
-field's former amplitude, summed per harmonic from ``arctan2``, which its
-polynomial in ``w (qx + i qy)`` must match to 1e-15 of the peak.  The
-kernels fold, window, mirror or read off the spectrum that work, or build
-the projector's rows once per call, or build the p-kernel by angle
+the walking axis at every angle, every line sample gathered from its four
+taps with the fraction of its own cross position.  The complex-FFT forms of
+the kernels that now run on the half plane of real FFTs are kept too: the
+gate's ``D(k) - conj D(-k)`` fold, the solenoidal projection, the
+synthesis and the coefficient route over the whole frequency plane.  So is
+the random field's former amplitude, summed per harmonic from ``arctan2``,
+which its polynomial in ``w (qx + i qy)`` must match to 1e-15 of the peak.
+The kernels fold, window, mirror or read off the spectrum that work, or
+build the projector's rows once per call, or build the p-kernel by angle
 addition, or transform half the frequency plane; results must agree to
 rounding (relative 1e-13, and 1e-14 for the projector on decayed fields and
 for the real-FFT kernels).
@@ -232,8 +233,10 @@ def reference_forward(f, num_p, ntheta, pmax=None, t_step=None):
     One 2D prefilter per component, padded by one mirrored coefficient
     before and two after each axis; per angle the trig-weighted plane is
     collapsed with the cubic B-spline taps of each column into one row, and
-    every line sample is a 4-tap 1D spline evaluation across it.  The second
-    half turn is the first one mirrored.
+    every line sample gathers the four taps around its cross position from
+    that row, weighted by the fraction of the position itself (never of a
+    flattened coordinate, whose rounding grows with the row offset).  The
+    second half turn is the first one mirrored.
     """
     grid = f.grid
     pmax = grid.radius if pmax is None else pmax
@@ -265,15 +268,16 @@ def reference_forward(f, num_p, ntheta, pmax=None, t_step=None):
         walk, u = walk[keep], u[keep]
         i0 = np.floor(u)
         window = i0.astype(np.intp)[:, None] + np.arange(4)
-        rows = np.einsum("ka,kaj->kj", _cubic_taps(u - i0), plane[window])
+        rows = np.einsum("ak,kaj->kj", _cubic_taps(u - i0), plane[window])
         v = np.add.outer(offsets / (along * h), (walk * across / along + radius) / h)
-        off_grid = (v < 0) | (v > n - 1)
-        v += 1.0 + (n + 3) * np.arange(u.size)
-        v[off_grid] = -1.0
-        vals = ndimage.map_coordinates(
-            rows.ravel(), v.reshape(1, -1), order=3, mode="constant", cval=0.0, prefilter=False
-        )
-        first.append(weight * vals.reshape(num_p, -1).sum(axis=1))
+        in_grid = (v >= 0) & (v <= n - 1)
+        v = np.where(in_grid, v, 0.0)
+        floor = np.floor(v)
+        taps = _cubic_taps(v - floor)
+        column = np.arange(u.size)
+        # padded index floor + t holds the coefficient of tap floor - 1 + t
+        vals = sum(taps[t] * rows[column, floor.astype(np.intp) + t] for t in range(4))
+        first.append(weight * np.where(in_grid, vals, 0.0).sum(axis=1))
     first = np.stack(first, axis=1)
     return np.concatenate([first, (-1.0) ** f.m * first[::-1]], axis=1)
 

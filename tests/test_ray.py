@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -132,7 +133,8 @@ class TestForward:
         def no_projection(*args, **kw):
             raise AssertionError("forward projected before validating")
 
-        monkeypatch.setattr("tensorray.ray.ndimage.map_coordinates", no_projection)
+        monkeypatch.setattr("tensorray.ray.ndimage.spline_filter1d", no_projection)
+        monkeypatch.setattr("tensorray.ray._node_taps", no_projection)
         with pytest.raises(ValueError, match=match):
             forward(gaussian_test_field(0, "generic", grid64), **kwargs)
 
@@ -156,7 +158,7 @@ class TestForward:
         def no_work(*args, **kw):
             raise AssertionError("forward prefiltered or projected before validating")
 
-        monkeypatch.setattr("tensorray.ray.ndimage.map_coordinates", no_work)
+        monkeypatch.setattr("tensorray.ray._node_taps", no_work)
         monkeypatch.setattr("tensorray.ray.ndimage.spline_filter1d", no_work)
         with pytest.raises(ValueError, match=match):
             forward(gaussian_test_field(0, "generic", grid64), **kwargs)
@@ -170,11 +172,15 @@ class TestForward:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_default_path_builds_rows_once_per_call(self, m, grid64, monkeypatch):
         # one 1D prefilter per component and walking axis, no 2D prefilter,
-        # no per-angle collapse of the walking axis, one spline pass per angle
+        # no per-angle collapse of the walking axis, no generic spline pass,
+        # and one operator per geometry: at ntheta = 12 the six angles below
+        # pi pair as (0, 3), (1, 2) and (5, 4), and 21 lines x 64 columns
+        # are one block of lines
         f = random_solenoidal_field(m, grid64, seed=10 + m)
         expected = forward(f, num_p=21, ntheta=12).samples
-        calls = {"spline_filter1d": 0, "spline_filter": 0, "map_coordinates": 0, "einsum": 0}
-        lock = threading.Lock()  # worker threads call map_coordinates too
+        calls = {"spline_filter1d": 0, "spline_filter": 0, "map_coordinates": 0, "einsum": 0,
+                 "_node_taps": 0}
+        lock = threading.Lock()  # worker threads fill the operators
 
         def counted(module, name):
             original = getattr(module, name)
@@ -189,11 +195,72 @@ class TestForward:
         for name in ("spline_filter1d", "spline_filter", "map_coordinates"):
             counted(ndimage, name)
         counted(np, "einsum")
+        counted(ray, "_node_taps")
         got = forward(f, num_p=21, ntheta=12).samples
         assert np.array_equal(got, expected)
         assert calls == {
-            "spline_filter1d": 2 * (m + 1), "spline_filter": 0, "map_coordinates": 6, "einsum": 0,
+            "spline_filter1d": 2 * (m + 1), "spline_filter": 0, "map_coordinates": 0, "einsum": 0,
+            "_node_taps": 3,
         }
+
+    @pytest.mark.parametrize("ntheta, pairs", [(12, [(0, 3), (1, 2), (5, 4)]),
+                                               (16, [(0, 4), (1, 3), (2,), (6,), (7, 5)])])
+    def test_angle_groups(self, ntheta, pairs):
+        # the angle that walks x first; pi/4 and 3pi/4 pair with themselves
+        assert ray._angle_groups(ntheta) == pairs
+
+    @pytest.mark.parametrize("t_step_in_h", [None, 0.5])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_partner_columns_match_their_own_geometry(self, m, t_step_in_h, grid64, monkeypatch):
+        # every angle projected with an operator built from its own geometry:
+        # the angles that own an operator come out bytewise the same, and each
+        # partner to rounding (ntheta = 32: 0 <-> pi/2, the reversed family
+        # theta <= pi/4 <-> pi/2 - theta, 3pi/2 - theta above 3pi/4, and the
+        # self-paired pi/4 and 3pi/4); pmax beyond the radius puts lines
+        # outside the grid
+        f = random_solenoidal_field(m, grid64, seed=40 + m)
+        dt = None if t_step_in_h is None else t_step_in_h * grid64.spacing
+        paired = forward(f, num_p=41, ntheta=32, pmax=10.0, t_step=dt).samples
+        groups = ray._angle_groups(32)
+        assert (0, 8) in groups and (1, 7) in groups and (15, 9) in groups
+        assert (4,) in groups and (12,) in groups
+        monkeypatch.setattr(ray, "_angle_groups", lambda ntheta: [(j,) for j in range(ntheta // 2)])
+        alone = forward(f, num_p=41, ntheta=32, pmax=10.0, t_step=dt).samples
+        owners = [group[0] for group in groups]
+        partners = [group[1] for group in groups if len(group) == 2]
+        assert sorted(owners + partners) == list(range(16))
+        assert paired[:, owners].tobytes() == alone[:, owners].tobytes()
+        peak = np.abs(alone).max()
+        assert np.abs(paired[:, partners] - alone[:, partners]).max() <= 1e-14 * peak
+
+    def test_one_operator_per_angle_without_partners(self, grid64, monkeypatch):
+        # pi/2 - theta is on the angle grid only when ntheta % 4 == 0; 21
+        # lines x 64 columns are one block of lines
+        fills = []
+        original = ray._node_taps
+
+        def counted(*args):
+            fills.append(1)  # list.append is atomic across the worker threads
+            return original(*args)
+
+        monkeypatch.setattr(ray, "_node_taps", counted)
+        forward(gaussian_test_field(1, "solenoidal", grid64), num_p=21, ntheta=90)
+        assert len(ray._angle_groups(90)) == len(fills) == 45
+
+    def test_desk_scale_memory(self, grid256, monkeypatch):
+        # two workers, each with a pair's rows and an operator over blocks of
+        # lines: measured 8.8 MB; the bound is the 8.2 MB that the per-angle
+        # map_coordinates projector peaked at here, plus 2 MB
+        f = random_solenoidal_field(3, grid256, seed=5)
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks: min(2, tasks))
+        forward(f)  # imports scipy.sparse outside the measurement
+        tracemalloc.start()
+        try:
+            forward(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (8.2 + 2.0) * 1e6
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_kernel_annihilates_potential_parts(self, m, grid128):
@@ -263,8 +330,8 @@ class TestWorkers:
     def test_failure_propagates_and_leaves_no_thread(self, where, grid64, monkeypatch):
         f = random_solenoidal_field(2, grid64, seed=5)
         caller = threading.current_thread()
-        error = RuntimeError(f"spline pass failed on the {where}")
-        original = ndimage.map_coordinates
+        error = RuntimeError(f"operator fill failed on the {where}")
+        original = ray._node_taps
 
         def failing(*args, **kwargs):
             if (threading.current_thread() is caller) == (where == "caller"):
@@ -272,7 +339,7 @@ class TestWorkers:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(_workers, "worker_count", lambda tasks: 3)
-        monkeypatch.setattr(ndimage, "map_coordinates", failing)
+        monkeypatch.setattr(ray, "_node_taps", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as excinfo:
             forward(f, num_p=21, ntheta=12)
