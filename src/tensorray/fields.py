@@ -39,7 +39,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .grids import CartesianGrid, PolarFrequencyGrid, _sample_polar_window
+from .grids import CartesianGrid, PolarFrequencyGrid, _check_integer, _sample_polar_window
 
 __all__ = [
     "TensorField2D",
@@ -87,6 +87,7 @@ class TensorField2D:
     components: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_integer(self.m, "tensor rank m")
         if self.m < 0:
             raise ValueError(f"tensor rank must be >= 0, got {self.m}")
         comps = np.asarray(self.components, dtype=float)

@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+def _check_integer(value, name: str) -> None:
+    """Reject a count or rank that is not a Python or NumPy integer (``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CartesianGrid:
     """Centered square grid with ``n`` samples per axis on ``[-R, R]^2``.
@@ -52,6 +58,7 @@ class CartesianGrid:
     radius: float
 
     def __post_init__(self) -> None:
+        _check_integer(self.n, "grid size n")
         if self.n < 16 or self.n % 2 != 0:
             raise ValueError(f"grid needs an even n >= 16, got n={self.n}")
         if not np.isfinite(self.radius) or self.radius <= 0:
@@ -98,6 +105,8 @@ class PolarFrequencyGrid:
     ntheta: int
 
     def __post_init__(self) -> None:
+        _check_integer(self.nq, "nq")
+        _check_integer(self.ntheta, "ntheta")
         if self.nq < 1:
             raise ValueError(f"nq must be >= 1, got {self.nq}")
         if not np.isfinite(self.qmax) or self.qmax <= 0:

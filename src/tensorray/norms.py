@@ -118,7 +118,8 @@ def weighted_norm_sq(
     overflows the float range (``(1+l^2)^r`` does from ``r ~ 86`` at
     ``l = 63``).  When ``warn_context`` is given, emits
     :class:`TruncationWarning` if the top-quarter harmonics or the outer 5%
-    of radial nodes carry more than ``1e-6`` of the total weighted energy.
+    of radial nodes carry more than ``1e-6`` of the total weighted energy;
+    the message gives the share it measured.
     """
     qs = np.asarray(qs, dtype=float)
     coeffs = np.asarray(coeffs)
@@ -147,22 +148,21 @@ def weighted_norm_sq(
 
     if warn_context is not None and total > 0.0:
         top_l = np.abs(ls) > 0.75 * lmax
-        if lmax > 0 and cells[top_l, :].sum() > _TAIL_FRACTION * total:
-            warnings.warn(
-                f"{warn_context}: top-quarter angular harmonics carry more than "
-                f"{_TAIL_FRACTION:g} of the weighted energy; increase ntheta",
-                TruncationWarning,
-                stacklevel=3,
-            )
-        ntail = max(1, qs.size // 20)
-        tail = np.argsort(np.abs(qs))[-ntail:]
-        if cells[:, tail].sum() > _TAIL_FRACTION * total:
-            warnings.warn(
-                f"{warn_context}: outer radial nodes carry more than "
-                f"{_TAIL_FRACTION:g} of the weighted energy; increase qmax",
-                TruncationWarning,
-                stacklevel=3,
-            )
+        outer_q = np.argsort(np.abs(qs))[-max(1, qs.size // 20):]
+        tails = (
+            (cells[top_l, :].sum(), "top-quarter angular harmonics",
+             "either harmonics are unresolved (increase ntheta) or the (1+l^2)^r weight "
+             "amplifies interpolation error (lower r)"),
+            (cells[:, outer_q].sum(), "outer radial nodes", "increase qmax"),
+        )
+        for energy, where, advice in tails:
+            if energy > _TAIL_FRACTION * total:
+                warnings.warn(
+                    f"{warn_context}: {where} carry {energy / total:.2g} of the weighted "
+                    f"energy, more than {_TAIL_FRACTION:g}; {advice}",
+                    TruncationWarning,
+                    stacklevel=3,
+                )
     return total / (2.0 * np.pi)
 
 

@@ -11,25 +11,21 @@ tensor and integrates along the line:
 The integrand is the field's interpolating cubic spline (outside the grid
 square it reads as zero).  The quadrature follows Joseph's scheme: each line
 is sampled where it crosses a set of columns perpendicular to the grid axis
-closer to ``xi`` (x when ``|cos| >= |sin|``).  By default these are the
-grid's own columns, ``h`` apart, and each sample is weighted by the step
-between columns along the line, ``h / max(|cos|, |sin|)``.  On a grid column
+closer to ``xi`` (x when ``|cos| >= |sin|``).  These are the grid's own
+columns, ``h`` apart, and each sample is weighted by the step between
+columns along the line, ``h / max(|cos|, |sin|)``.  On a grid column
 the spline's B-spline weights along the walking axis (1/6, 4/6, 1/6) undo
 that axis's prefilter, so the spline restricted to the column is the 1D
 spline of the samples across it.  Each component is therefore prefiltered
 once per call across the columns of either walking axis; an angle combines
 those rows with its trigonometric weights, and every line sample is a 4-tap
-1D spline evaluation across one row.  An explicit ``t_step`` spaces the
-columns so that consecutive samples lie ``t_step`` apart along the line and
-weights them by ``t_step``; only then does an angle collapse the 2D spline's
-coefficients (the rows prefiltered along the walking axis too) with four
-B-spline weights per column.
+1D spline evaluation across one row.
 
-On both paths one evaluator takes the samples: a sparse operator over the
-(line, column) nodes of a geometry.  Each node holds the four cubic B-spline
-weights of its cross position (the fraction is taken from that position,
-before the row offset is added, so it does not round with the offset) and
-the flat indices of their taps in the rows; ``operator @ rows`` does the
+The samples are taken by a sparse operator over the (line, column) nodes
+of a geometry.  Each node holds the four cubic B-spline weights of its
+cross position (the fraction is taken from that position, before the row
+offset is added, so it does not round with the offset) and the flat
+indices of their taps in the rows; ``operator @ rows`` does the
 gather, the multiply-add and the sum along every line in compiled code.
 Nodes off the grid stay in the operator with four zero weights, so their
 samples read exactly zero.  ``theta`` and ``theta' = pi/2 - theta``
@@ -41,10 +37,11 @@ meets the lines in reverse order when ``theta <= pi/4``.  At
 pair with themselves, and with ``ntheta % 4 != 0`` every angle has its own.
 ``scipy.sparse`` is imported at the first call, not with the module.
 
-At desk scale (n = 256, R = 8) the default samples 256 columns per angle
-where a step of ``h/2`` samples 512-724.  Against a step of ``h/4`` it moves
-a sinogram by 2e-7 to 1e-6 of its peak, 0.31-0.43 of the spline's own error
-against the closed-form sinograms, which it leaves unchanged to 3 digits.
+At desk scale (n = 256, R = 8) each angle samples 256 columns, where a
+step of ``h/2`` along the line would sample 512-724.  Against the same
+spline sampled at a step of ``h/4`` this moves a sinogram by 2e-7 to 1e-6
+of its peak, 0.31-0.43 of the spline's own error against the closed-form
+sinograms, which it leaves unchanged to 3 digits.
 
 Only the first half turn ``theta < pi`` is projected.  The line
 ``(-p, theta + pi)`` is ``(p, theta)`` walked backwards, so every ray
@@ -53,8 +50,9 @@ second half turn is the first mirrored in ``p`` (the offsets are exactly
 antisymmetric) times ``(-1)^m``.  Forward outputs satisfy the parity by
 construction; :func:`parity_residual` measures the violation for arbitrary
 sinograms.  The quadrature itself is checked by its own oracles: the
-Gaussian and closed-form rank-m anchors, convergence in ``t_step`` and the
-2D-spline sampling of every angle from that angle's geometry.
+Gaussian and closed-form rank-m anchors, the shift against a step of
+``h/4`` and the 2D-spline sampling of every angle from that angle's
+geometry.
 
 The geometries do not depend on each other, and the sparse products release
 the GIL, so a call splits them over up to ``min(CPUs available, 4)`` threads
@@ -76,6 +74,7 @@ from scipy import ndimage
 
 from ._workers import run_round_robin
 from .fields import TensorField2D, tensor_weights
+from .grids import _check_integer
 
 __all__ = ["Sinogram", "forward", "parity_residual"]
 
@@ -93,6 +92,7 @@ class Sinogram:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_integer(self.m, "tensor rank m")
         if self.m < 0:
             raise ValueError(f"tensor rank must be >= 0, got {self.m}")
         if not np.isfinite(self.pmax) or self.pmax <= 0:
@@ -233,7 +233,7 @@ def forward(
     num_p: int = 257,
     ntheta: int = 128,
     pmax: float | None = None,
-    t_step: float | None = None,
+    t_step: None = None,
 ) -> Sinogram:
     """Ray transform of ``f`` on a ``(p, theta)`` grid.
 
@@ -243,32 +243,28 @@ def forward(
         Source field, decayed at the grid boundary.
     num_p, ntheta : int
         Offset and angle sample counts (``ntheta`` even), Python or NumPy
-        integers.
+        integers (``bool`` is not).
     pmax : float, optional
         Offset range bound.  Defaults to the grid radius; values below it are
         rejected because such lines would be truncated inside the support,
         and so are non-finite values.
-    t_step : float, optional
-        Quadrature step along every line.  ``None`` (the default) samples
-        each line at the grid's own columns, ``h`` apart, with weight
+    t_step : None
+        Not settable; any other value is rejected.  Each line is sampled at
+        the grid's own columns, ``h`` apart, with weight
         ``h / max(|cos theta|, |sin theta|)``, the step along the line
-        between them.  An explicit value must lie in ``(0, h]``; the sampling
-        columns are then ``t_step`` times the larger of ``|cos theta|`` and
-        ``|sin theta|`` apart and each sample is weighted by ``t_step``.
+        between them.
 
     Each component is prefiltered once per call across the columns of
     either walking axis, and an angle combines those rows with its trig
-    weights; only an explicit ``t_step`` builds the 2D spline and collapses
-    its walking axis at every angle.  The line samples are one sparse
-    operator per geometry: for every (line, column) node it holds the four
-    B-spline weights and the flat indices of their taps in the rows (zero
-    weights off the grid), and ``theta`` and ``pi/2 - theta`` (or
-    ``3pi/2 - theta``), which cross the same nodes, share it.  The
-    ``ntheta // 2`` angles below ``pi`` are projected; the rest are their
-    mirror ``(-1)^m psi(-p, theta)``, so the output satisfies the parity
-    exactly.  Every argument is validated before any prefilter or
-    projection; the sample counts must be integers (``bool`` is not).
-    ``scipy.sparse`` is imported at the first call.
+    weights.  The line samples are one sparse operator per geometry: for
+    every (line, column) node it holds the four B-spline weights and the
+    flat indices of their taps in the rows (zero weights off the grid), and
+    ``theta`` and ``pi/2 - theta`` (or ``3pi/2 - theta``), which cross the
+    same nodes, share it.  The ``ntheta // 2`` angles below ``pi`` are
+    projected; the rest are their mirror ``(-1)^m psi(-p, theta)``, so the
+    output satisfies the parity exactly.  Every argument is validated before
+    any prefilter or projection.  ``scipy.sparse`` is imported at the first
+    call.
 
     The geometries are split over up to ``min(CPUs available, 4)`` threads,
     each with its own buffers: a pair's rows (``2 (n + 3) n`` floats) and
@@ -278,9 +274,11 @@ def forward(
     here, after every thread has stopped.
     """
     grid = f.grid
-    for name, count in (("num_p", num_p), ("ntheta", ntheta)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
+    _check_integer(num_p, "num_p")
+    _check_integer(ntheta, "ntheta")
+    # t_step is kept only because the benchmark tracer reads it by name
+    if t_step is not None:
+        raise ValueError(f"t_step is not settable (lines walk the grid columns), got {t_step!r}")
     if pmax is None:
         pmax = grid.radius
     if not np.isfinite(pmax):
@@ -294,8 +292,6 @@ def forward(
         raise ValueError(f"need at least 2 offset samples, got {num_p}")
     if ntheta < 2 or ntheta % 2 != 0:
         raise ValueError(f"ntheta must be even and >= 2, got {ntheta}")
-    if t_step is not None and not 0.0 < t_step <= grid.spacing:
-        raise ValueError(f"t_step must lie in (0, grid spacing], got {t_step}")
 
     # only the projector uses scipy.sparse, and importing it takes 10-12 ms
     from scipy import sparse
@@ -319,16 +315,6 @@ def forward(
         )
         for comps in (f.components, f.components.transpose(0, 2, 1))
     ]
-    if t_step is not None:
-        # the 2D spline's coefficients, padded along the walking axis too
-        walking = [
-            np.pad(
-                ndimage.spline_filter1d(rows, order=3, axis=1, mode="constant"),
-                ((0, 0), (1, 2), (0, 0)),
-                mode="reflect",
-            )
-            for rows in walking
-        ]
     powers = np.arange(m + 1)
     weights = tensor_weights(m)
 
@@ -336,10 +322,8 @@ def forward(
         theta = 2.0 * np.pi * j / ntheta
         return weights * np.cos(theta) ** (m - powers) * np.sin(theta) ** powers
 
-    # each group's columns, from the geometry of its first angle: walking x,
-    # the line meets column x_k at y = p/c + x_k s/c; walking y, at
-    # x = -p/s + y_k c/s.  The columns are the grid's own, or t_step |along|
-    # apart between them.
+    # each group's geometry, from its first angle: walking x, the line meets
+    # column x_k at y = p/c + x_k s/c; walking y, at x = -p/s + y_k c/s
     groups = _angle_groups(ntheta)
     geometry = []
     for group in groups:
@@ -347,58 +331,32 @@ def forward(
         c, s = np.cos(theta), np.sin(theta)
         walks_x = abs(c) >= abs(s)
         along, across, offsets = (c, s, ps) if walks_x else (s, c, -ps)
-        if t_step is None:
-            walk, weight = grid.axis(), h / abs(along)
-        else:
-            dx, weight = t_step * abs(along), t_step
-            walk = dx * np.arange(np.ceil(-radius / dx), np.floor((radius - h) / dx) + 1.0)
-            u = (walk + radius) / h
-            walk = walk[(u >= 0) & (u <= n - 1)]  # rounding at the grid edges
-        geometry.append((walks_x, along, across, offsets, walk, weight))
-    columns = max(walk.size for *_, walk, _ in geometry)
-    blocks = -(-num_p * columns // _BLOCK_NODES)
+        geometry.append((walks_x, along, across, offsets))
+    walk = grid.axis()
+    starts = width * np.arange(n)  # column k's padded row starts at k (n + 3)
+    blocks = -(-num_p * n // _BLOCK_NODES)
     lines = -(-num_p // blocks)
     first = np.empty((num_p, ntheta // 2))
 
     def project(indices: range, rows: np.ndarray, operator) -> None:
         # fills first[:, j] for the angles j of each group, reusing the rows
-        # buffer and refilling the operator's data, indices and indptr in
-        # place; runs on worker threads, so it calls numpy and scipy only
-        # (and the private _cubic_taps and _node_taps), never a traced function
-        tap_rows = np.arange(4 * lines + 1)
+        # buffer and refilling the operator's data and indices in place; runs
+        # on worker threads, so it calls numpy and scipy only (and the
+        # private _cubic_taps and _node_taps), never a traced function
         for g in indices:
             group = groups[g]
-            walks_x, along, across, offsets, walk, weight = geometry[g]
-            size = walk.size
-            # the first angle walks x when it can, its partner the other axis
-            axes = [int(not walks_x) ^ a for a in range(len(group))]
-            if t_step is None:
-                # at a grid column the spline's weights along the walking axis
-                # (1/6, 4/6, 1/6) undo that axis's prefilter: an angle's rows
-                # are the rows above, combined with its weights
-                for a, (j, axis) in enumerate(zip(group, axes)):
-                    np.dot(trig(j), walking[axis].reshape(m + 1, -1), out=rows[a])
-            else:
-                # columns t_step |along| apart: collapse the walking axis into
-                # one padded 1D spline row per column, in blocks of columns
-                # so the gathered coefficient rows stay small
-                u = (walk + radius) / h
-                i0 = np.floor(u)
-                taps = _cubic_taps(u - i0)
-                window = i0.astype(np.intp)[:, None] + _TAPS
-                for a, (j, axis) in enumerate(zip(group, axes)):
-                    plane = np.tensordot(trig(j), walking[axis], axes=(0, 0))
-                    collapsed = rows[a, : size * width].reshape(size, width)
-                    for start in range(0, size, 64):
-                        block = slice(start, start + 64)
-                        np.einsum("ak,kaj->kj", taps[:, block], plane[window[block]],
-                                  out=collapsed[block])
+            walks_x, along, across, offsets = geometry[g]
+            # at a grid column the spline's weights along the walking axis
+            # (1/6, 4/6, 1/6) undo that axis's prefilter: an angle's rows are
+            # the rows above, combined with its weights; the first angle
+            # walks x when it can, its partner the other axis
+            for a, j in enumerate(group):
+                np.dot(trig(j), walking[int(not walks_x) ^ a].reshape(m + 1, -1), out=rows[a])
 
             # cross-axis position of every (line, column) node, a block of
-            # lines at a time; column k's padded row starts at k (n + 3)
-            np.multiply(tap_rows, size, out=operator.indptr, casting="same_kind")
+            # lines at a time
             cross = (walk * across / along + radius) / h
-            starts = width * np.arange(size)
+            weight = h / abs(along)
             for first_line in range(0, num_p, lines):
                 # the last block ends at the last line: the lines it repeats
                 # come out the same
@@ -419,13 +377,13 @@ def forward(
     buffers = []
 
     def new_buffers() -> tuple:
-        # built full (a shorter indptr would prune its arrays), then refilled
-        indptr = columns * np.arange(4 * lines + 1, dtype=np.int32)
+        # every line has n columns: indptr is fixed, data and indices refilled
+        indptr = n * np.arange(4 * lines + 1, dtype=np.int32)
         operator = sparse.csr_array(
             (np.zeros(indptr[-1]), np.zeros(indptr[-1], dtype=np.int32), indptr),
-            shape=(4 * lines, columns * width),
+            shape=(4 * lines, n * width),
         )
-        buffers.append((np.empty((2, columns * width)), operator))
+        buffers.append((np.empty((2, n * width)), operator))
         return buffers[-1]
 
     run_round_robin(project, len(groups), new_buffers)

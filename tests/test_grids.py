@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from references import inverse_fourier_transform_2d, pad_samples
-from tensorray import CartesianGrid, PolarFrequencyGrid, fourier_transform_2d, polar_sample
+from tensorray import (
+    CartesianGrid,
+    PolarFrequencyGrid,
+    Sinogram,
+    SobolevParams,
+    TensorField2D,
+    field_norm,
+    fourier_transform_2d,
+    polar_sample,
+)
 from tensorray.grids import angular_coefficient_matrix
 
 
@@ -189,3 +198,39 @@ class TestPolarResample:
         b = polar_sample(spec, grid64, qs, np.array([np.pi / 2, np.pi]))
         # radial symmetry: shifting every angle by pi/2 changes nothing
         assert np.abs(a - b).max() < 1e-6
+
+
+GRID = CartesianGrid(n=64, radius=8.0)
+GAUSS = gaussian(GRID)
+
+
+class TestIntegerCountsAndRanks:
+    # a count or rank must be a Python or NumPy integer: floats, even whole
+    # ones, and bools are refused, never rounded or silently accepted
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: CartesianGrid(n=64.0, radius=8.0), "grid size n"),
+            (lambda: CartesianGrid(n=np.float64(64.0), radius=8.0), "grid size n"),
+            (lambda: PolarFrequencyGrid(nq=2.5, qmax=8.0, ntheta=8), "nq"),
+            (lambda: PolarFrequencyGrid(nq=16, qmax=8.0, ntheta=8.0), "ntheta"),
+            (lambda: field_norm(TensorField2D(m=0, grid=GRID, components=GAUSS[None]),
+                                SobolevParams(0, 0, 0), nq=100.5, ntheta=32), "nq"),
+            (lambda: TensorField2D(m=True, grid=GRID, components=np.stack([GAUSS, GAUSS])),
+             "tensor rank m"),
+            (lambda: Sinogram(m=1.5, pmax=8.0, samples=np.zeros((9, 8))), "tensor rank m"),
+            (lambda: Sinogram(m=np.True_, pmax=8.0, samples=np.zeros((9, 8))), "tensor rank m"),
+        ],
+        ids=["grid-n-float", "grid-n-np-float", "polar-nq-fraction", "polar-ntheta-float",
+             "field-norm-nq", "field-m-bool", "sinogram-m-fraction", "sinogram-m-np-bool"],
+    )
+    def test_non_integer_rejected(self, build, match):
+        with pytest.raises(ValueError, match=f"{match} must be an integer"):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        grid = CartesianGrid(n=np.int64(64), radius=8.0)
+        assert grid.spacing == GRID.spacing
+        assert PolarFrequencyGrid(nq=np.int32(16), qmax=8.0, ntheta=np.int64(8)).dq == 0.5
+        assert TensorField2D(m=np.int64(0), grid=grid, components=GAUSS[None]).m == 0
+        assert Sinogram(m=np.int8(1), pmax=8.0, samples=np.zeros((9, 8))).m == 1

@@ -6,10 +6,10 @@ offset, its kernel ``e^{i q p}`` in long double, the polar sampler as
 quintic splines prefiltered over the whole grid, the polar spectrum as the
 padded complex transform sampled over the full turn, the inversion series as
 the per-block quadrature of the whole sinogram summed harmonic by harmonic
-over every dual-grid point, the divergence gate as spatial rows transformed
-back from their spectra, and the projector as the 2D spline collapsed along
-the walking axis at every angle, every line sample gathered from its four
-taps with the fraction of its own cross position.  The complex-FFT forms of
+over every dual-grid point, and the divergence gate as spatial rows
+transformed back from their spectra.  The projector's oracle, the 2D spline
+collapsed along the walking axis at every angle, lives in the test-side
+``references`` module, which the closed-form tests share.  The complex-FFT forms of
 the kernels that now run on the half plane of real FFTs are kept too: the
 gate's ``D(k) - conj D(-k)`` fold, the solenoidal projection, the
 synthesis and the coefficient route over the whole frequency plane.  So is
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from references import inverse_fourier_transform_2d, pad_samples
+from references import inverse_fourier_transform_2d, pad_samples, reference_forward
 from tensorray import (
     CartesianGrid,
     invert,
@@ -48,7 +48,6 @@ from tensorray import inversion
 from tensorray.fields import tensor_weights
 from tensorray.grids import fourier_transform_2d
 from tensorray.inversion import _quarter_turn_series
-from tensorray.ray import _cubic_taps, _p_axis
 from tensorray.slices import _p_kernel, _tilde_table, sinogram_transform_values
 
 REL = 1e-13
@@ -225,61 +224,6 @@ def reference_coefficient_route(psi, grid):
     """The coefficient route: the full-plane series through the complex inverse transform."""
     spec = reference_quarter_turn_series(psi, grid, psi.m)
     return inverse_fourier_transform_2d(spec, grid).real
-
-
-def reference_forward(f, num_p, ntheta, pmax=None, t_step=None):
-    """The 2D spline collapsed along the walking axis at every angle.
-
-    One 2D prefilter per component, padded by one mirrored coefficient
-    before and two after each axis; per angle the trig-weighted plane is
-    collapsed with the cubic B-spline taps of each column into one row, and
-    every line sample gathers the four taps around its cross position from
-    that row, weighted by the fraction of the position itself (never of a
-    flattened coordinate, whose rounding grows with the row offset).  The
-    second half turn is the first one mirrored.
-    """
-    grid = f.grid
-    pmax = grid.radius if pmax is None else pmax
-    h, radius, n = grid.spacing, grid.radius, grid.n
-    ps = _p_axis(pmax, num_p)
-    walking_x = np.pad(
-        np.stack([ndimage.spline_filter(c, order=3, mode="constant") for c in f.components]),
-        ((0, 0), (1, 2), (1, 2)),
-        mode="reflect",
-    )
-    walking_y = walking_x.transpose(0, 2, 1)
-    powers = np.arange(f.m + 1)
-    first = []
-    for theta in 2.0 * np.pi * np.arange(ntheta // 2) / ntheta:
-        c, s = np.cos(theta), np.sin(theta)
-        trig = tensor_weights(f.m) * c ** (f.m - powers) * s**powers
-        if abs(c) >= abs(s):
-            along, across, offsets, padded = c, s, ps, walking_x
-        else:
-            along, across, offsets, padded = s, c, -ps, walking_y
-        plane = np.tensordot(trig, padded, axes=(0, 0))
-        if t_step is None:
-            dx, weight = h, h / abs(along)
-        else:
-            dx, weight = t_step * abs(along), t_step
-        walk = dx * np.arange(np.ceil(-radius / dx), np.floor((radius - h) / dx) + 1.0)
-        u = (walk + radius) / h
-        keep = (u >= 0) & (u <= n - 1)
-        walk, u = walk[keep], u[keep]
-        i0 = np.floor(u)
-        window = i0.astype(np.intp)[:, None] + np.arange(4)
-        rows = np.einsum("ak,kaj->kj", _cubic_taps(u - i0), plane[window])
-        v = np.add.outer(offsets / (along * h), (walk * across / along + radius) / h)
-        in_grid = (v >= 0) & (v <= n - 1)
-        v = np.where(in_grid, v, 0.0)
-        floor = np.floor(v)
-        taps = _cubic_taps(v - floor)
-        column = np.arange(u.size)
-        # padded index floor + t holds the coefficient of tap floor - 1 + t
-        vals = sum(taps[t] * rows[column, floor.astype(np.intp) + t] for t in range(4))
-        first.append(weight * np.where(in_grid, vals, 0.0).sum(axis=1))
-    first = np.stack(first, axis=1)
-    return np.concatenate([first, (-1.0) ** f.m * first[::-1]], axis=1)
 
 
 class TestFoldedPTransform:
@@ -730,11 +674,3 @@ class TestColumnProjector:
         f = TensorField2D(m=m, grid=grid, components=rng.standard_normal((m + 1, 96, 96)))
         got = forward(f, num_p=97, ntheta=32).samples
         assert relative_gap(got, reference_forward(f, 97, 32)) < 1e-12
-
-    @pytest.mark.parametrize("m", [0, 1, 3])
-    @pytest.mark.parametrize("t_step_in_h", [0.5, 0.3])
-    def test_explicit_step_matches_2d_collapse(self, m, t_step_in_h, grid128):
-        f = _decayed_field(m, grid128)
-        dt = t_step_in_h * grid128.spacing
-        got = forward(f, num_p=129, ntheta=32, t_step=dt).samples
-        assert relative_gap(got, reference_forward(f, 129, 32, t_step=dt)) < 1e-14

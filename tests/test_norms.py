@@ -278,6 +278,24 @@ class TestTruncationWarnings:
         with pytest.warns(TruncationWarning, match="radial"):
             field_norm(f, SobolevParams(0, 0, 0), nq=64, qmax=1.5)
 
+    @pytest.mark.parametrize("tail", ["angular", "radial"])
+    def test_warning_reports_the_share(self, tail):
+        # unit weights (r = s = t = 0) on 20 radial nodes and 9 harmonics:
+        # four cells of 1 at l = 0 and one cell of 1 in the tail, so the tail
+        # carries 1/5 of the energy; the other tail carries none
+        qs = (np.arange(20) + 0.5) * 0.1
+        coeffs = np.zeros((9, 20))
+        coeffs[4, :4] = 1.0
+        if tail == "angular":
+            coeffs[0, 0] = 1.0  # l = -4, in the top quarter
+            match = r"angular harmonics carry 0\.2 of .*increase ntheta.*lower r"
+        else:
+            coeffs[4, -1] = 1.0  # the outermost node, the outer 5% of 20
+            match = r"radial nodes carry 0\.2 of .*increase qmax"
+        with pytest.warns(TruncationWarning, match=match) as record:
+            weighted_norm_sq(qs, coeffs, SobolevParams(0, 0, 0), 0.0, warn_context="test")
+        assert len(record) == 1
+
     def test_resolved_norm_does_not_warn(self, grid128):
         import warnings as _warnings
 

@@ -50,29 +50,19 @@ class TestForward:
         err = np.abs(psi.samples - exact).max() / exact.max()
         assert err < 5e-7
 
-    def test_quadrature_converged_at_half_spacing(self, grid256):
-        # at a step of h/2 along the line, halving it changes nothing the
-        # checks resolve; the default (grid columns) is held to the closed
-        # forms instead, in test_hermite_oracles
-        f = random_solenoidal_field(3, grid256, seed=4)
-        coarse = forward(f, t_step=grid256.spacing / 2.0).samples
-        fine = forward(f, t_step=grid256.spacing / 4.0).samples
-        assert np.abs(fine - coarse).max() / np.abs(fine).max() < 2e-8
-
-    @pytest.mark.parametrize("t_step_in_h", [0.5, 0.3, None])
-    def test_same_spline_as_2d_sampling_at_the_same_nodes(self, t_step_in_h, grid64):
+    def test_same_spline_as_2d_sampling_at_the_same_nodes(self, grid64):
         # oracle: the 2D interpolating cubic spline of the contracted field,
         # sampled where each line crosses the columns of the axis closer to xi
-        # (by default the grid's own columns, h apart, each sample weighted by
-        # the step h/|along| between them); every angle, theta >= pi included,
+        # (the grid's own columns, h apart, each sample weighted by the step
+        # h/|along| between them); every angle, theta >= pi included,
         # is computed from its own geometry, so the mirrored half turn is
         # checked without the mirror (odd ranks catch its sign, fields without
         # symmetry in p its flip)
         h, radius = grid64.spacing, grid64.radius
-        dt = None if t_step_in_h is None else t_step_in_h * h
+        cols = h * np.arange(-grid64.n // 2, grid64.n // 2)
         for m in (1, 2, 3):
             f = random_solenoidal_field(m, grid64, seed=m)
-            psi = forward(f, num_p=21, ntheta=12, t_step=dt)
+            psi = forward(f, num_p=21, ntheta=12)
             p = psi.p_axis()[:, None]
             for j, theta in enumerate(psi.theta_axis()):
                 c, s = np.cos(theta), np.sin(theta)
@@ -80,12 +70,7 @@ class TestForward:
                 spline = ndimage.spline_filter(
                     np.tensordot(trig, f.components, axes=(0, 0)), order=3, mode="constant"
                 )
-                along = max(abs(c), abs(s))
-                if dt is None:
-                    cols, weight = h * np.arange(-grid64.n // 2, grid64.n // 2), h / along
-                else:
-                    step, weight = dt * along, dt
-                    cols = step * np.arange(np.ceil(-radius / step), np.floor((radius - h) / step) + 1)
+                weight = h / max(abs(c), abs(s))
                 if abs(c) >= abs(s):
                     xs, ys = np.broadcast_to(cols, (p.size, cols.size)), p / c + cols * s / c
                 else:
@@ -123,11 +108,10 @@ class TestForward:
         [
             ({"pmax": np.inf}, "pmax must be finite"),
             ({"pmax": np.nan}, "pmax must be finite"),
-            ({"t_step": np.nan}, "t_step"),
-            ({"t_step": 0.0}, "t_step"),
-            ({"t_step": 1.0}, "t_step"),
+            # h / 2 on grid64: no explicit step is accepted
+            ({"t_step": 0.125}, "t_step is not settable"),
         ],
-        ids=["pmax-inf", "pmax-nan", "t_step-nan", "t_step-0", "t_step-above-h"],
+        ids=["pmax-inf", "pmax-nan", "t_step-half-h"],
     )
     def test_invalid_range_rejected_before_projecting(self, kwargs, match, grid64, monkeypatch):
         def no_projection(*args, **kw):
@@ -209,9 +193,8 @@ class TestForward:
         # the angle that walks x first; pi/4 and 3pi/4 pair with themselves
         assert ray._angle_groups(ntheta) == pairs
 
-    @pytest.mark.parametrize("t_step_in_h", [None, 0.5])
     @pytest.mark.parametrize("m", [1, 3])
-    def test_partner_columns_match_their_own_geometry(self, m, t_step_in_h, grid64, monkeypatch):
+    def test_partner_columns_match_their_own_geometry(self, m, grid64, monkeypatch):
         # every angle projected with an operator built from its own geometry:
         # the angles that own an operator come out bytewise the same, and each
         # partner to rounding (ntheta = 32: 0 <-> pi/2, the reversed family
@@ -219,13 +202,12 @@ class TestForward:
         # self-paired pi/4 and 3pi/4); pmax beyond the radius puts lines
         # outside the grid
         f = random_solenoidal_field(m, grid64, seed=40 + m)
-        dt = None if t_step_in_h is None else t_step_in_h * grid64.spacing
-        paired = forward(f, num_p=41, ntheta=32, pmax=10.0, t_step=dt).samples
+        paired = forward(f, num_p=41, ntheta=32, pmax=10.0).samples
         groups = ray._angle_groups(32)
         assert (0, 8) in groups and (1, 7) in groups and (15, 9) in groups
         assert (4,) in groups and (12,) in groups
         monkeypatch.setattr(ray, "_angle_groups", lambda ntheta: [(j,) for j in range(ntheta // 2)])
-        alone = forward(f, num_p=41, ntheta=32, pmax=10.0, t_step=dt).samples
+        alone = forward(f, num_p=41, ntheta=32, pmax=10.0).samples
         owners = [group[0] for group in groups]
         partners = [group[1] for group in groups if len(group) == 2]
         assert sorted(owners + partners) == list(range(16))
@@ -286,19 +268,17 @@ class TestWorkers:
     """Angles are split over threads; the output never depends on how many."""
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    @pytest.mark.parametrize("t_step_in_h", [None, 0.5])
-    def test_worker_count_changes_no_byte(self, m, t_step_in_h, grid64, monkeypatch):
+    def test_worker_count_changes_no_byte(self, m, grid64, monkeypatch):
         f = random_solenoidal_field(m, grid64, seed=20 + m) if m else off_centre_gaussian(
             grid64, 1.0, (0.3, -0.4)
         )
-        t_step = None if t_step_in_h is None else t_step_in_h * grid64.spacing
         # pmax beyond the grid radius: the outer lines sample only zeros,
         # which must stay unsigned whatever thread projects them
         for ntheta in (4, 12):
             outputs = []
             for workers in (1, 2, 3, ntheta // 2 + 3):
                 monkeypatch.setattr(_workers, "worker_count", lambda tasks, k=workers: k)
-                outputs.append(forward(f, num_p=33, ntheta=ntheta, pmax=11.0, t_step=t_step).samples)
+                outputs.append(forward(f, num_p=33, ntheta=ntheta, pmax=11.0).samples)
             zeros = outputs[0] == 0.0
             assert zeros.any() and not np.signbit(outputs[0][zeros]).any()
             assert all(out.tobytes() == outputs[0].tobytes() for out in outputs[1:])
