@@ -674,3 +674,13 @@ class TestColumnProjector:
         f = TensorField2D(m=m, grid=grid, components=rng.standard_normal((m + 1, 96, 96)))
         got = forward(f, num_p=97, ntheta=32).samples
         assert relative_gap(got, reference_forward(f, 97, 32)) < 1e-12
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_matches_2d_collapse_on_noise_without_partners(self, m):
+        # ntheta % 4 != 0 gives every angle its own operator, and pmax beyond
+        # the radius puts the outer lines outside the grid
+        rng = np.random.default_rng(70 + m)
+        grid = CartesianGrid(n=96, radius=8.0)
+        f = TensorField2D(m=m, grid=grid, components=rng.standard_normal((m + 1, 96, 96)))
+        got = forward(f, num_p=33, ntheta=30, pmax=11.0).samples
+        assert relative_gap(got, reference_forward(f, 33, 30, 11.0)) < 1e-12

@@ -108,10 +108,14 @@ class TestForward:
         [
             ({"pmax": np.inf}, "pmax must be finite"),
             ({"pmax": np.nan}, "pmax must be finite"),
-            # h / 2 on grid64: no explicit step is accepted
+            # no explicit step is accepted, whether it was once valid (h / 2
+            # on grid64) or not (non-finite, zero, above h)
             ({"t_step": 0.125}, "t_step is not settable"),
+            ({"t_step": np.nan}, "t_step is not settable"),
+            ({"t_step": 0.0}, "t_step is not settable"),
+            ({"t_step": 1.0}, "t_step is not settable"),
         ],
-        ids=["pmax-inf", "pmax-nan", "t_step-half-h"],
+        ids=["pmax-inf", "pmax-nan", "t_step-half-h", "t_step-nan", "t_step-0", "t_step-above-h"],
     )
     def test_invalid_range_rejected_before_projecting(self, kwargs, match, grid64, monkeypatch):
         def no_projection(*args, **kw):
@@ -121,6 +125,12 @@ class TestForward:
         monkeypatch.setattr("tensorray.ray._node_taps", no_projection)
         with pytest.raises(ValueError, match=match):
             forward(gaussian_test_field(0, "generic", grid64), **kwargs)
+
+    def test_t_step_none_is_the_default(self, grid64):
+        # None, the one value t_step accepts, changes no byte
+        f = random_solenoidal_field(2, grid64, seed=5)
+        default = forward(f, num_p=33, ntheta=12).samples
+        assert default.tobytes() == forward(f, num_p=33, ntheta=12, t_step=None).samples.tobytes()
 
     @pytest.mark.parametrize(
         "kwargs, match",
