@@ -53,10 +53,12 @@ from .norms import (
 from .ray import Sinogram, forward, parity_residual
 from .slices import (
     CONVENTIONS,
+    SlicePair,
     fst_coefficient_residual,
     fst_scalar_residual,
     fst_solenoidal_residual,
     measure_slice_constant,
+    slice_pair,
     tilde_coefficients,
 )
 
@@ -71,6 +73,7 @@ __all__ = [
     "PolarFrequencyGrid",
     "RangeDataWarning",
     "Sinogram",
+    "SlicePair",
     "SobolevParams",
     "TensorField2D",
     "TruncationWarning",
@@ -99,6 +102,7 @@ __all__ = [
     "reshetnyak_ratios",
     "roundtrip_report",
     "sinogram_norm",
+    "slice_pair",
     "solenoidal_project",
     "synthesize_solenoidal",
     "tensor_weights",

@@ -31,7 +31,7 @@ from .inversion import check_moment_conditions, roundtrip_report
 from .io import FileFormatError, export_csv, read_field, read_sinogram, write_field, write_sinogram
 from .norms import SobolevParams, reshetnyak_check
 from .ray import forward, parity_residual
-from .slices import _FIELD_SIDE_CONSTANT, CONVENTIONS, _slice_sides
+from .slices import CONVENTIONS, _convention_constant, slice_pair
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -115,7 +115,7 @@ def _cmd_check_reshetnyak(args) -> int:
     params = SobolevParams(args.r, args.s, args.t)
     ratio = reshetnyak_check(field, params, args.convention,
                              ntheta=CHECK_NTHETA, nq=CHECK_NQ)
-    expected = _FIELD_SIDE_CONSTANT[args.convention]
+    expected = _convention_constant(args.convention)
     passed = abs(ratio - expected) <= args.tol * expected
     _emit({
         "check": "reshetnyak",
@@ -130,10 +130,10 @@ def _cmd_check_reshetnyak(args) -> int:
 
 def _cmd_check_slice(args) -> int:
     field = read_field(args.input)
-    sides = _slice_sides(field, ntheta=CHECK_NTHETA, nq=CHECK_NQ)
+    pair = slice_pair(field, ntheta=CHECK_NTHETA, nq=CHECK_NQ)
     residuals = {
-        "solenoidal_residual": sides.solenoidal_residual(),
-        "coefficient_residual": sides.coefficient_residual(),
+        "solenoidal_residual": pair.solenoidal_residual(),
+        "coefficient_residual": pair.coefficient_residual(),
     }
     passed = all(v < args.tol for v in residuals.values())
     _emit({

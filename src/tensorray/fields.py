@@ -73,6 +73,9 @@ _MIN_WIDTH_IN_SPACINGS = 2.5
 # synthesize_solenoidal accepts.
 _RANDOM_EDGE_RATIO = 5e-9
 
+# Zero padding of component_spectrum_polar (see its docstring).
+_PAD = 2
+
 
 @dataclass(frozen=True)
 class TensorField2D:
@@ -554,13 +557,13 @@ def component_spectrum_polar(
 ) -> np.ndarray:
     """Polar samples ``fhat_j(q_k, phi_j + angle_offset)`` of one component.
 
-    The spectrum is that of the component zero padded to an ``oversample``
-    times larger grid (valid for boundary-decayed fields), i.e. the
-    continuum-normalized transform on an ``oversample`` times finer dual
-    grid, sampled with the quintic splines of
-    :func:`~tensorray.grids.polar_sample`.  At desk scale the default 2x
-    grid keeps the error against the analytic Gaussian spectrum near 1e-7
-    of its peak, far below the slice-identity tolerances used downstream.
+    The spectrum is that of the component zero padded to a twice larger
+    grid (valid for boundary-decayed fields), i.e. the continuum-normalized
+    transform on a twice finer dual grid, sampled with the quintic splines
+    of :func:`~tensorray.grids.polar_sample`.  At desk scale the 2x grid
+    keeps the error against the analytic Gaussian spectrum near 1e-7 of its
+    peak, far below the slice-identity tolerances used downstream.
+    ``oversample`` accepts only 2.
     The spectrum must decay well inside the padded dual grid, whose
     half-width is the Nyquist frequency of the field grid; nodes beyond it
     raise before anything is transformed.
@@ -571,7 +574,7 @@ def component_spectrum_polar(
     the padded length, kept at the window's ``|ky|`` only, a complex FFT
     along x over those columns, then the window's rows; where ``ky < 0``
     the window reads the conjugate at ``(-kx, -ky)``.  Padding centres the
-    samples, which puts the phase ``e^{i pi k / oversample}`` on frequency
+    samples, which puts the phase ``e^{i pi k / 2}`` on frequency
     index ``k`` along each axis.  No padded array is formed; the window
     equals the padded :func:`~tensorray.grids.fourier_transform_2d` there
     to rounding.
@@ -582,12 +585,15 @@ def component_spectrum_polar(
     imaginary passes run on up to two threads; the samples are
     byte-identical for any thread count.
     """
+    # oversample is kept only because the benchmark tracer reads it by name
+    if oversample != _PAD:
+        raise ValueError(f"oversample must be {_PAD}, got {oversample!r}")
     comp = f.component(j)
-    n, size = f.grid.n, f.grid.n * oversample
+    n, size = f.grid.n, f.grid.n * _PAD
 
     def phase(k: np.ndarray) -> np.ndarray:
-        # padding centres the n samples: index k carries e^{i pi k / oversample}
-        return np.exp(1j * np.pi * (k % (2 * oversample)) / oversample)
+        # padding centres the n samples: index k carries e^{i pi k / _PAD}
+        return np.exp(1j * np.pi * (k % (2 * _PAD)) / _PAD)
 
     def spectrum(window: tuple[slice, slice]) -> np.ndarray:
         rows, cols = window
@@ -612,7 +618,7 @@ def component_spectrum_polar(
         out *= phase(np.arange(cols.start, cols.stop) - size // 2)
         return out
 
-    dual = f.grid.padded(oversample).dual()
+    dual = CartesianGrid(size, f.grid.radius * _PAD).dual()
     phis = pgrid.angular_nodes()[: pgrid.ntheta // 2] + angle_offset
     first = _sample_polar_window(dual, pgrid.radial_nodes(), phis, spectrum)
     return np.concatenate([first, first.conj()], axis=1)

@@ -84,12 +84,6 @@ class CartesianGrid:
         """The frequency grid: same ``n``, half-width ``pi/spacing``."""
         return CartesianGrid(self.n, self.nyquist)
 
-    def padded(self, factor: int) -> "CartesianGrid":
-        """Grid enlarged ``factor`` times at the same spacing."""
-        if factor < 1:
-            raise ValueError(f"pad factor must be >= 1, got {factor}")
-        return CartesianGrid(self.n * factor, self.radius * factor)
-
 
 @dataclass(frozen=True)
 class PolarFrequencyGrid:

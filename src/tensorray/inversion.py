@@ -39,10 +39,10 @@ from .fields import (
     relative_l2_error,
     solenoidal_project,
 )
-from .grids import CartesianGrid, angular_coefficient_matrix
+from .grids import CartesianGrid, _check_integer, angular_coefficient_matrix
 from .norms import SobolevParams, reshetnyak_check
 from .ray import Sinogram, _offset_weights, forward, parity_residual
-from .slices import _check_convention, _p_kernel, _p_kernel_width, _tilde_table
+from .slices import _convention_constant, _p_kernel, _p_kernel_width, _tilde_table
 
 __all__ = [
     "MomentOrder",
@@ -116,6 +116,7 @@ def check_moment_conditions(psi: Sinogram, rmax: int, tol: float = 1e-5) -> Mome
     ``ValueError`` when ``p^r psi`` no longer decays at the offset boundary
     (boundary rows above ``1e-8`` of the absolute moment).
     """
+    _check_integer(rmax, "rmax")
     if rmax < 0:
         raise ValueError(f"rmax must be >= 0, got {rmax}")
     if not 0.0 < tol < np.inf:
@@ -362,7 +363,7 @@ def invert(
     sinogram, which carries no transform convention, so the reconstruction
     does not depend on it.
     """
-    _check_convention(convention)
+    _convention_constant(convention)
     if check_range:
         _range_warnings(psi)
     amp = (-1.0) ** psi.m * _quarter_turn_series(psi, grid, 0)
@@ -382,7 +383,7 @@ def invert_coefficient_route(
     component ``m`` of :func:`invert` on range data.  Returns the scalar
     grid function.  ``convention`` is validated only, as in :func:`invert`.
     """
-    _check_convention(convention)
+    _convention_constant(convention)
     return _inverse_half(_quarter_turn_series(psi, grid, psi.m), grid)
 
 

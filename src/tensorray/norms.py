@@ -29,10 +29,8 @@ singular but integrable for admissible ``t``.  The sinogram integral over
 even in ``l``.  Both norms thus read ``(1/2pi) * sum_l ... integral_0^inf``.
 At the shifted indices the sinogram's radial weight
 ``q^(2(t+1/2)) (1+q^2)^(s-t)`` is the field's, so the isometry ratio
-compares two quadratic forms with the same weights on the same nodes; it
-weighs the spectra of the slice checks (:mod:`tensorray.slices`), where
-the quarter turn of the field spectrum only multiplies ``(fhat_m)_l`` by
-``i^l``.
+compares two quadratic forms with the same weights on the same nodes, each
+read off one side of the slice checks (:func:`~tensorray.slices.slice_pair`).
 """
 
 from __future__ import annotations
@@ -42,16 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TensorField2D, component_spectrum_polar, require_solenoidal
+from .fields import TensorField2D
 from .grids import PolarFrequencyGrid, angular_coefficient_matrix
 from .ray import Sinogram
-from .slices import (
-    _FIELD_SIDE_CONSTANT,
-    _check_convention,
-    _slice_sides,
-    _tilde_table,
-    sinogram_transform_values,
-)
+from .slices import _convention_constant, _field_side, _sinogram_side, _tilde_table, slice_pair
 
 __all__ = [
     "SobolevParams",
@@ -179,13 +171,13 @@ def sinogram_norm(
     defaults to ``pmax``.  The norm is taken in the lemma calculus; under
     ``"fst"`` it is ``sqrt(2*pi)`` times larger.
     """
-    _check_convention(convention)
+    scale = _convention_constant(convention)
     params.require_sinogram_admissible()
     pgrid = PolarFrequencyGrid(nq=nq, qmax=psi.pmax if qmax is None else qmax, ntheta=psi.ntheta)
     qs = pgrid.radial_nodes()
-    coeffs = _tilde_table(sinogram_transform_values(psi, qs), psi.m)
+    coeffs = _tilde_table(_sinogram_side(psi, pgrid), psi.m)
     norm_sq = weighted_norm_sq(qs, coeffs, params, 0.0, warn_context="sinogram norm")
-    return float(_FIELD_SIDE_CONSTANT[convention] * np.sqrt(norm_sq))
+    return float(scale * np.sqrt(norm_sq))
 
 
 def field_norm(
@@ -202,10 +194,8 @@ def field_norm(
     relative divergence residual above ``1e-6`` are rejected.
     """
     params.require_field_admissible()
-    require_solenoidal(f)
     pgrid = PolarFrequencyGrid(nq=nq, qmax=f.grid.radius if qmax is None else qmax, ntheta=ntheta)
-    values = component_spectrum_polar(f, f.m, pgrid)
-    coeffs = angular_coefficient_matrix(values, ntheta // 2 - 1).T
+    coeffs = angular_coefficient_matrix(_field_side(f, pgrid), ntheta // 2 - 1).T
     norm_sq = weighted_norm_sq(pgrid.radial_nodes(), coeffs, params, 1.0, warn_context="field norm")
     return float(np.sqrt(norm_sq))
 
@@ -244,28 +234,26 @@ def reshetnyak_ratios(
 ) -> list[float]:
     """Isometry ratios for several parameter triples on one field.
 
-    Both norms weigh the spectra of the slice checks (one gate, one
-    projection unless ``sinogram`` is given, one p-transform and one field
-    spectrum), which are reweighted per triple, so sweeping parameters costs
-    almost nothing beyond the first ratio.  The isometry holds on solenoidal
-    fields only, so fields with relative divergence residual above ``1e-6``
-    are rejected, as are sinograms of another rank or ``ntheta``.
+    Both norms weigh one :func:`~tensorray.slices.slice_pair`, reweighted per
+    triple, so sweeping parameters costs almost nothing beyond the first
+    ratio.  Non-solenoidal fields are rejected (the isometry holds on
+    solenoidal fields only), as are sinograms of another rank or ``ntheta``.
     """
-    _check_convention(convention)
+    scale = _convention_constant(convention)
     for params in params_list:
         params.require_field_admissible()
         params.shifted().require_sinogram_admissible()
-    sides = _slice_sides(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
-    f_coeffs = sides.field_coefficients(ntheta // 2 - 1)
-    s_coeffs = sides.sinogram_coefficients()
+    pair = slice_pair(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
+    f_coeffs = pair.field_coefficients(ntheta // 2 - 1)
+    s_coeffs = pair.sinogram_coefficients()
 
     ratios = []
     for params in params_list:
-        field_sq = weighted_norm_sq(sides.qs, f_coeffs, params, 1.0, warn_context="field norm")
+        field_sq = weighted_norm_sq(pair.qs, f_coeffs, params, 1.0, warn_context="field norm")
         if field_sq == 0.0:
             raise ValueError("field norm vanishes; the isometry ratio is undefined")
         sino_sq = weighted_norm_sq(
-            sides.qs, s_coeffs, params.shifted(), 0.0, warn_context="sinogram norm"
+            pair.qs, s_coeffs, params.shifted(), 0.0, warn_context="sinogram norm"
         )
-        ratios.append(float(_FIELD_SIDE_CONSTANT[convention] * np.sqrt(sino_sq / field_sq)))
+        ratios.append(float(scale * np.sqrt(sino_sq / field_sq)))
     return ratios

@@ -15,6 +15,9 @@ sinogram norm.  The residuals compare two sides that would both carry it,
 so they do not depend on the convention, and
 :func:`measure_slice_constant` estimates the constant from data.
 
+Each side is built in one place (``_field_side``, ``_sinogram_side``): every
+slice number and isometry ratio reads one :func:`slice_pair`, each norm one side.
+
 The ``tilde`` operator is multiplication of a sinogram by ``sin^m(theta)``;
 on angular Fourier coefficients it acts as the banded stencil
 
@@ -32,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import TensorField2D, component_spectrum_polar, require_solenoidal
-from .grids import PolarFrequencyGrid, _check_finite, angular_coefficient_matrix
+from .grids import PolarFrequencyGrid, _check_finite, _check_integer, angular_coefficient_matrix
 from .ray import Sinogram, _offset_weights, forward
 
 __all__ = [
@@ -43,6 +46,8 @@ __all__ = [
     "fst_solenoidal_residual",
     "fst_coefficient_residual",
     "measure_slice_constant",
+    "SlicePair",
+    "slice_pair",
 ]
 
 # What each convention multiplies a lemma-calculus quantity by: the slice
@@ -52,10 +57,10 @@ _FIELD_SIDE_CONSTANT = {"lemma": 1.0, "fst": float(np.sqrt(2.0 * np.pi))}
 CONVENTIONS = tuple(_FIELD_SIDE_CONSTANT)
 
 
-def _check_convention(convention: str) -> str:
+def _convention_constant(convention: str) -> float:
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return convention
+    return _FIELD_SIDE_CONSTANT[convention]
 
 
 # offsets per row of the p-kernel's fine table: e^{i q p_j} with j = 16a + b
@@ -144,16 +149,14 @@ def tilde_coefficients(coefficients: np.ndarray, m: int) -> np.ndarray:
     pointwise multiplication by ``sin^m(theta)`` followed by the angular DFT
     whenever the input resolves all harmonics of the product.
     """
+    _check_integer(m, "m")
     coefficients = np.asarray(coefficients, dtype=complex)
     if coefficients.shape[0] % 2 != 1:
         raise ValueError("first axis must hold an odd number of harmonics -lmax..lmax")
     lmax_in = (coefficients.shape[0] - 1) // 2
     lmax_out = lmax_in - m
-    if lmax_out < 0:
-        raise ValueError(
-            f"input lmax={lmax_in} is insufficient for the sin^{m} stencil; "
-            f"need lmax >= {m}"
-        )
+    if not 0 <= m <= lmax_in:
+        raise ValueError(f"the sin^m stencil needs 0 <= m <= lmax, got m={m}, lmax={lmax_in}")
     out_shape = (2 * lmax_out + 1,) + coefficients.shape[1:]
     out = np.zeros(out_shape, dtype=complex)
     for k in range(m + 1):
@@ -187,15 +190,14 @@ def sup_relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.abs(np.asarray(lhs) - np.asarray(rhs)).max() / scale)
 
 
-class _SliceSides(NamedTuple):
+class SlicePair(NamedTuple):
     """Both sides of the slice identities at the positive polar nodes ``qs``.
 
     ``psihat`` is the lemma-calculus p-transform of the sinogram and
     ``fhat`` the spectrum of the last field component turned a quarter turn,
     ``fhat_m(q_k, theta_j + pi/2)``; both have shape ``(nq, ntheta)``.  Each
     residual compares the two in another basis, and the isometry weighs
-    their angular coefficients.  Under ``fst`` both sides would carry
-    ``sqrt(2*pi)``, so the residuals do not depend on the convention.
+    their angular coefficients.
     """
 
     m: int
@@ -206,8 +208,7 @@ class _SliceSides(NamedTuple):
     def tilde(self) -> np.ndarray:
         """``sin^m(theta) * psihat``, the sinogram side of the value identity."""
         ntheta = self.psihat.shape[1]
-        thetas = 2.0 * np.pi * np.arange(ntheta) / ntheta
-        return np.sin(thetas) ** self.m * self.psihat
+        return np.sin(2.0 * np.pi * np.arange(ntheta) / ntheta) ** self.m * self.psihat
 
     def sinogram_coefficients(self) -> np.ndarray:
         """``(tilde psihat)_l(q_k)`` for ``|l| <= ntheta//2 - 1 - m``."""
@@ -225,39 +226,48 @@ class _SliceSides(NamedTuple):
         lhs = self.sinogram_coefficients()
         return sup_relative_residual(lhs, self.field_coefficients((lhs.shape[0] - 1) // 2))
 
-    def constant(self) -> float:
-        """Least-squares ``c`` with ``tilde ~ c * fhat`` (lemma calculus)."""
+    def constant(self, convention: str = "lemma") -> float:
+        """Least-squares ``c`` with ``tilde ~ c * fhat``, in ``convention``."""
+        scale = _convention_constant(convention)
         denom = np.vdot(self.fhat, self.fhat).real
         if denom == 0.0:
             raise ValueError("field spectrum vanishes; constant is undetermined")
-        return float(np.vdot(self.fhat, self.tilde()).real / denom)
+        return float(scale * (np.vdot(self.fhat, self.tilde()).real / denom))
 
 
-def _slice_sides(
+def _field_side(f: TensorField2D, pgrid: PolarFrequencyGrid) -> np.ndarray:
+    """Gate, then ``fhat_m(q_k, theta_j + pi/2)``; the turn leaves every norm unchanged."""
+    require_solenoidal(f)
+    return component_spectrum_polar(f, f.m, pgrid, angle_offset=np.pi / 2.0)
+
+
+def _sinogram_side(psi: Sinogram, pgrid: PolarFrequencyGrid) -> np.ndarray:
+    """The sinogram side: ``psihat(q_k, theta_j)`` at the radial nodes of ``pgrid``."""
+    return sinogram_transform_values(psi, pgrid.radial_nodes())
+
+
+def slice_pair(
     f: TensorField2D,
     *,
     ntheta: int = 128,
     nq: int = 512,
     qmax: float | None = None,
     sinogram: Sinogram | None = None,
-) -> _SliceSides:
+) -> SlicePair:
     """Gate, project (unless ``sinogram`` is given) and transform once.
 
     The projection takes ``n + 1`` offsets over ``[-R, R]``.  A given
     sinogram must have the field's rank and the requested ``ntheta``.
     """
-    require_solenoidal(f)
     pgrid = PolarFrequencyGrid(nq=nq, qmax=f.grid.radius if qmax is None else qmax, ntheta=ntheta)
+    fhat = _field_side(f, pgrid)
     if sinogram is None:
         sinogram = forward(f, num_p=f.grid.n + 1, ntheta=ntheta)
     elif sinogram.m != f.m:
         raise ValueError(f"provided sinogram has rank {sinogram.m} but the field has rank {f.m}")
     elif sinogram.ntheta != ntheta:
         raise ValueError("provided sinogram must match the requested ntheta")
-    qs = pgrid.radial_nodes()
-    psihat = sinogram_transform_values(sinogram, qs)
-    fhat = component_spectrum_polar(f, f.m, pgrid, angle_offset=np.pi / 2.0)
-    return _SliceSides(f.m, qs, psihat, fhat)
+    return SlicePair(f.m, pgrid.radial_nodes(), _sinogram_side(sinogram, pgrid), fhat)
 
 
 def fst_scalar_residual(
@@ -277,8 +287,7 @@ def fst_scalar_residual(
     """
     if f.m != 0:
         raise ValueError(f"the scalar slice identity needs m = 0, got m = {f.m}")
-    sides = _slice_sides(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
-    return sides.solenoidal_residual()
+    return slice_pair(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram).solenoidal_residual()
 
 
 def fst_solenoidal_residual(
@@ -297,9 +306,8 @@ def fst_solenoidal_residual(
     same.  Rejects non-solenoidal fields (relative divergence residual above
     ``1e-6``).
     """
-    _check_convention(convention)
-    sides = _slice_sides(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
-    return sides.solenoidal_residual()
+    _convention_constant(convention)
+    return slice_pair(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram).solenoidal_residual()
 
 
 def measure_slice_constant(
@@ -317,9 +325,8 @@ def measure_slice_constant(
     ``sqrt(2*pi)`` under ``"fst"``, quantifying the normalization gap between
     the two calculi on actual data.
     """
-    _check_convention(convention)
-    sides = _slice_sides(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
-    return float(_FIELD_SIDE_CONSTANT[convention] * sides.constant())
+    _convention_constant(convention)
+    return slice_pair(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram).constant(convention)
 
 
 def fst_coefficient_residual(
@@ -338,6 +345,5 @@ def fst_coefficient_residual(
     ``fst`` convention multiplies both sides by ``sqrt(2*pi)``, so the
     residual is the same).  Rejects non-solenoidal fields.
     """
-    _check_convention(convention)
-    sides = _slice_sides(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram)
-    return sides.coefficient_residual()
+    _convention_constant(convention)
+    return slice_pair(f, ntheta=ntheta, nq=nq, qmax=qmax, sinogram=sinogram).coefficient_residual()

@@ -37,7 +37,7 @@ def pad_samples(values: np.ndarray, grid: CartesianGrid, factor: int) -> tuple[n
     padded transform then samples the same continuous spectrum on a grid
     ``factor`` times finer.
     """
-    big = grid.padded(factor)
+    big = CartesianGrid(grid.n * factor, grid.radius * factor)
     out = np.zeros((big.n, big.n), dtype=np.asarray(values).dtype)
     off = (big.n - grid.n) // 2
     out[off : off + grid.n, off : off + grid.n] = values

@@ -10,9 +10,11 @@ from tensorray import (
     Sinogram,
     SobolevParams,
     TensorField2D,
+    check_moment_conditions,
     field_norm,
     fourier_transform_2d,
     polar_sample,
+    tilde_coefficients,
 )
 from tensorray.grids import angular_coefficient_matrix
 
@@ -202,6 +204,7 @@ class TestPolarResample:
 
 GRID = CartesianGrid(n=64, radius=8.0)
 GAUSS = gaussian(GRID)
+ZERO_SINOGRAM = Sinogram(m=0, pmax=8.0, samples=np.zeros((9, 8)))
 
 
 class TestIntegerCountsAndRanks:
@@ -220,13 +223,23 @@ class TestIntegerCountsAndRanks:
              "tensor rank m"),
             (lambda: Sinogram(m=1.5, pmax=8.0, samples=np.zeros((9, 8))), "tensor rank m"),
             (lambda: Sinogram(m=np.True_, pmax=8.0, samples=np.zeros((9, 8))), "tensor rank m"),
+            (lambda: check_moment_conditions(ZERO_SINOGRAM, rmax=2.5), "rmax"),
+            (lambda: check_moment_conditions(ZERO_SINOGRAM, rmax=True), "rmax"),
+            (lambda: tilde_coefficients(np.ones((7, 3)), 1.0), "m"),
+            (lambda: tilde_coefficients(np.ones((7, 3)), True), "m"),
         ],
         ids=["grid-n-float", "grid-n-np-float", "polar-nq-fraction", "polar-ntheta-float",
-             "field-norm-nq", "field-m-bool", "sinogram-m-fraction", "sinogram-m-np-bool"],
+             "field-norm-nq", "field-m-bool", "sinogram-m-fraction", "sinogram-m-np-bool",
+             "moments-rmax-fraction", "moments-rmax-bool", "tilde-m-float", "tilde-m-bool"],
     )
     def test_non_integer_rejected(self, build, match):
         with pytest.raises(ValueError, match=f"{match} must be an integer"):
             build()
+
+    def test_negative_tilde_rank_rejected(self):
+        # the stencil would otherwise return a wider table of zeros
+        with pytest.raises(ValueError, match="0 <= m <= lmax"):
+            tilde_coefficients(np.ones((7, 3)), -1)
 
     def test_numpy_integers_accepted(self):
         grid = CartesianGrid(n=np.int64(64), radius=8.0)

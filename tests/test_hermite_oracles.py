@@ -43,6 +43,7 @@ from tensorray import (
     gaussian_test_field,
     random_solenoidal_field,
     sinogram_norm,
+    slice_pair,
     synthesize_solenoidal,
 )
 from tensorray.fields import (
@@ -51,7 +52,6 @@ from tensorray.fields import (
     _solenoidal_table,
     require_solenoidal,
 )
-from tensorray.slices import _slice_sides
 
 NUM_P, NTHETA = 257, 128
 SEED = 7
@@ -243,7 +243,7 @@ SLICE_SIDES = {
 
 
 class TestClosedFormSliceSides:
-    """Each side of ``_slice_sides`` against ``fhat_m(q, theta + pi/2)``, pinned at ~10x.
+    """Each side of ``slice_pair`` against ``fhat_m(q, theta + pi/2)``, pinned at ~10x.
 
     The solenoidal test field has ``fhat_m(q, phi) = i^m A q^m e^{-w^2 q^2/2}
     cos^m(phi)`` with ``A = w^(max(m - 2, 0) + 2)``.  The field side is
@@ -258,7 +258,7 @@ class TestClosedFormSliceSides:
     def test_both_sides_match_the_closed_form(self, m, width, grid256):
         f = gaussian_test_field(m, "solenoidal", grid256, width=width)
         psi = forward(f, num_p=NUM_P, ntheta=NTHETA)
-        sides = _slice_sides(f, ntheta=NTHETA, nq=512, qmax=grid256.radius, sinogram=psi)
+        sides = slice_pair(f, ntheta=NTHETA, nq=512, qmax=grid256.radius, sinogram=psi)
         q = sides.qs[:, None]
         phi = psi.theta_axis() + np.pi / 2.0
         amplitude = width ** (max(m - 2, 0) + 2)

@@ -78,9 +78,9 @@ def reference_polar_sample(values, grid, qs, phis):
     return spline(values.real) + 1j * spline(values.imag)
 
 
-def reference_spectrum_polar(f, j, pgrid, oversample=2, angle_offset=0.0, turn=1.0):
-    """The padded complex spectrum sampled at the angles of the first ``turn`` turns."""
-    big, big_grid = pad_samples(f.component(j), f.grid, oversample)
+def reference_spectrum_polar(f, j, pgrid, angle_offset=0.0, turn=1.0):
+    """The 2x padded complex spectrum sampled at the angles of the first ``turn`` turns."""
+    big, big_grid = pad_samples(f.component(j), f.grid, 2)
     spec = fourier_transform_2d(big, big_grid)
     phis = pgrid.angular_nodes()[: round(turn * pgrid.ntheta)] + angle_offset
     return polar_sample(spec, big_grid.dual(), pgrid.radial_nodes(), phis)
@@ -319,27 +319,22 @@ class TestHalfTurnSpectrum:
 
 class TestSpectrumWindow:
     # The window is computed from the real component alone; at n = 128 the
-    # padded dual grid has half-width pi / h = 25.13 at every oversample.
+    # padded dual grid has half-width pi / h = 25.13.
     # The first half turn is compared: next to the grid edge the spline
     # depends on which edge a node is near, so there the second half turn,
     # the first one's conjugate, differs from direct sampling by more than
     # rounding; the field must decay well inside the grid to avoid that.
-    @pytest.mark.parametrize("oversample", [1, 2, 3])
     @pytest.mark.parametrize(
         "qmax, angle_offset",
         [(2.0, 0.0), (8.0, np.pi / 2), (8.0, 2.0), (12.5, 0.0), (25.0, 0.3), (25.1, np.pi / 2)],
         ids=["interior", "slice-checks", "lower-half", "half-band", "near-edge", "clipped"],
     )
-    def test_matches_padded_transform(self, oversample, qmax, angle_offset, grid128):
+    def test_matches_padded_transform(self, qmax, angle_offset, grid128):
         f = random_solenoidal_field(2, grid128, seed=5)
         pgrid = PolarFrequencyGrid(nq=48, qmax=qmax, ntheta=26)
         for j in (0, 2):
-            got = component_spectrum_polar(
-                f, j, pgrid, oversample=oversample, angle_offset=angle_offset
-            )
-            ref = reference_spectrum_polar(
-                f, j, pgrid, oversample=oversample, angle_offset=angle_offset, turn=0.5
-            )
+            got = component_spectrum_polar(f, j, pgrid, angle_offset=angle_offset)
+            ref = reference_spectrum_polar(f, j, pgrid, angle_offset=angle_offset, turn=0.5)
             assert relative_gap(got[:, :13], ref) < REL
 
     @pytest.mark.parametrize("angle_offset", [np.pi, 1.5 * np.pi, 0.25 * np.pi])
@@ -367,6 +362,16 @@ class TestSpectrumWindow:
         pgrid = PolarFrequencyGrid(nq=16, qmax=14.0, ntheta=8)
         with pytest.raises(ValueError, match="exceeds the grid extent"):
             component_spectrum_polar(f, 1, pgrid)
+
+    def test_pad_other_than_two_raises_before_any_transform(self, monkeypatch, grid64):
+        def refuse(*args, **kwargs):
+            raise AssertionError("transformed before checking the pad")
+
+        f = random_solenoidal_field(1, grid64, seed=2)
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        pgrid = PolarFrequencyGrid(nq=16, qmax=8.0, ntheta=8)
+        with pytest.raises(ValueError, match="oversample must be 2"):
+            component_spectrum_polar(f, 1, pgrid, oversample=3)
 
     def test_peak_memory_below_one_padded_spectrum(self, grid128):
         import tracemalloc

@@ -30,6 +30,34 @@ def gaussian_sinogram(num_p=257, ntheta=32, pmax=8.0):
     return Sinogram(m=0, pmax=pmax, samples=samples)
 
 
+def count_side_calls(monkeypatch):
+    """Count projections, spectra, p-transforms and gates; record each p-transform's node count."""
+    import tensorray.fields
+    import tensorray.norms
+    import tensorray.slices
+
+    calls = collections.Counter()
+    nodes = []
+
+    def count(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            if name == "sinogram_transform_values":
+                nodes.append(len(args[1]))
+            return original(*args, **kwargs)
+
+        return counted
+
+    names = ("forward", "component_spectrum_polar", "sinogram_transform_values")
+    for module in (tensorray.slices, tensorray.norms):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, count(name, getattr(module, name)))
+    gate = "relative_divergence_residual"
+    monkeypatch.setattr(tensorray.fields, gate, count(gate, getattr(tensorray.fields, gate)))
+    return calls, nodes
+
+
 def radial_quadrature_oracle(weight_fn, qmax=12.0, n=400001):
     """Independent fine-grid trapezoid for int_0^inf weight(q) dq."""
     qs = np.linspace(0.0, qmax, n)
@@ -193,30 +221,7 @@ class TestReshetnyak:
         assert max(abs(r - 1.0) for r in ratios) < 1e-3
 
     def test_given_sinogram_computes_each_side_once(self, monkeypatch, grid64):
-        import tensorray.fields
-        import tensorray.norms
-        import tensorray.slices
-
-        calls = collections.Counter()
-        nodes = []
-
-        def count(name, original):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                if name == "sinogram_transform_values":
-                    nodes.append(len(args[1]))
-                return original(*args, **kwargs)
-
-            return counted
-
-        names = ("forward", "component_spectrum_polar", "sinogram_transform_values")
-        for module in (tensorray.slices, tensorray.norms):
-            for name in names:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, count(name, getattr(module, name)))
-        gate = "relative_divergence_residual"
-        monkeypatch.setattr(tensorray.fields, gate, count(gate, getattr(tensorray.fields, gate)))
-
+        calls, nodes = count_side_calls(monkeypatch)
         f = gaussian_test_field(1, "solenoidal", grid64)
         psi = forward(f, num_p=65, ntheta=16)
         plist = [SobolevParams(0, 0, 0), SobolevParams(1, 0.5, -0.25)]
@@ -228,6 +233,46 @@ class TestReshetnyak:
             relative_divergence_residual=1,
         )
         assert nodes == [32]  # the positive nodes only
+
+    def test_each_norm_builds_its_side_alone(self, monkeypatch, grid64):
+        # the field norm never projects or transforms a sinogram, and the
+        # sinogram norm never gates or samples a field: the sides stay independent
+        f = gaussian_test_field(1, "solenoidal", grid64)
+        psi = forward(f, num_p=65, ntheta=16)
+        calls, _ = count_side_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            field_norm(f, SobolevParams(0, 0, 0), nq=32, ntheta=16)
+            assert calls == collections.Counter(
+                component_spectrum_polar=1, relative_divergence_residual=1,
+            )
+            calls.clear()
+            sinogram_norm(psi, SobolevParams(0, 0.5, 0.5), nq=32)
+        assert calls == collections.Counter(sinogram_transform_values=1)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_each_norm_is_its_side_of_the_ratio(self, monkeypatch, m, grid64):
+        # both norms read the sides the ratio weighs, so they agree bit for bit
+        import tensorray.norms
+
+        f = random_solenoidal_field(m, grid64, seed=7)
+        psi = forward(f, num_p=65, ntheta=16)
+        plist = [SobolevParams(0, 0, 0), SobolevParams(1, 0.5, -0.25)]
+        weighed = []
+        original = tensorray.norms.weighted_norm_sq
+
+        def record(*args, **kwargs):
+            weighed.append(original(*args, **kwargs))
+            return weighed[-1]
+
+        monkeypatch.setattr(tensorray.norms, "weighted_norm_sq", record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            reshetnyak_ratios(f, plist, ntheta=16, nq=32, sinogram=psi)
+            in_ratio = list(weighed)  # (field, sinogram) per triple
+            for k, params in enumerate(plist):
+                assert field_norm(f, params, nq=32, ntheta=16) == np.sqrt(in_ratio[2 * k])
+                assert sinogram_norm(psi, params.shifted(), nq=32) == np.sqrt(in_ratio[2 * k + 1])
 
     @pytest.mark.parametrize("name", ["rank", "ntheta"])
     def test_mismatched_sinogram_rejected(self, name, grid64):

@@ -12,6 +12,8 @@ from tensorray import (
     fst_solenoidal_residual,
     gaussian_test_field,
     measure_slice_constant,
+    random_solenoidal_field,
+    slice_pair,
     tilde_coefficients,
 )
 from tensorray.grids import angular_coefficient_matrix
@@ -246,3 +248,27 @@ class TestSliceResiduals:
         psi = forward(f, num_p=129, ntheta=64)
         assert fst_solenoidal_residual(f, "lemma", ntheta=64, sinogram=psi) < 1e-3
         assert fst_coefficient_residual(f, "lemma", ntheta=64, sinogram=psi) < 1e-3
+
+
+class TestSlicePair:
+    @pytest.mark.parametrize("convention", ["lemma", "fst"])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_wrappers_read_the_pair(self, m, convention, grid64):
+        # each wrapper is its validation plus one read of the pair, so the
+        # numbers agree bit for bit, with a given sinogram and without
+        f = random_solenoidal_field(m, grid64, seed=7)
+        given = forward(f, num_p=65, ntheta=16)
+        for sinogram in (None, given):
+            common = {"ntheta": 16, "nq": 32, "sinogram": sinogram}
+            pair = slice_pair(f, **common)
+            assert fst_solenoidal_residual(f, convention, **common) == pair.solenoidal_residual()
+            assert fst_coefficient_residual(f, convention, **common) == pair.coefficient_residual()
+            assert measure_slice_constant(f, convention, **common) == pair.constant(convention)
+            if m == 0:
+                assert fst_scalar_residual(f, **common) == pair.solenoidal_residual()
+        assert pair.constant("fst") == np.sqrt(2.0 * np.pi) * pair.constant("lemma")
+
+    def test_unknown_convention_rejected(self, grid64):
+        pair = slice_pair(gaussian_test_field(1, "solenoidal", grid64), ntheta=16, nq=32)
+        with pytest.raises(ValueError, match="convention"):
+            pair.constant("unitary")
