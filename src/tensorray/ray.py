@@ -28,13 +28,21 @@ offset is added, so it does not round with the offset) and the flat
 indices of their taps in the rows; ``operator @ rows`` does the
 gather, the multiply-add and the sum along every line in compiled code.
 Nodes off the grid stay in the operator with four zero weights, so their
-samples read exactly zero.  ``theta`` and ``theta' = pi/2 - theta``
-(``3pi/2 - theta`` for ``theta`` above ``3pi/4``) cross the same nodes at the
-same cross positions, one walking x and the other y: they share the
-operator, with their own rows and trigonometric weights, and the partner
-meets the lines in reverse order when ``theta <= pi/4``.  At
-``ntheta = 128`` that is 33 operators for 64 angles; ``pi/4`` and ``3pi/4``
-pair with themselves, and with ``ntheta % 4 != 0`` every angle has its own.
+samples read exactly zero.  ``theta``, ``pi/2 - theta``, ``pi/2 + theta``
+and ``pi - theta`` cross the same nodes at the same cross positions (the
+last two are the first two mirrored through ``x -> -x``), each walking its
+own axis, so they share one operator, each with its own rows and
+trigonometric weights.  A member meets the lines in reverse order when the
+factor of ``p`` in its cross positions (``1 / along`` walking x, ``-1 /
+along`` walking y) has the other sign than in the operator's, and the
+columns in mirrored order (its column ``n - k`` at the operator's ``k``, its
+taps shifted to that row) when ``across / along`` does: the grid is ``x_k =
+-R + k h``, so ``-x_k`` is ``x_(n-k)``.  The operator spans ``n + 1``
+columns, and the one a member lacks (``x = R``, column ``n``) reads a zero
+row.  At ``ntheta = 128`` that is 17 operators for 64 angles: ``0`` groups
+with ``pi/2`` and ``pi/4`` with ``3pi/4``.  With ``ntheta % 4 != 0`` only
+``pi - theta`` is on the angle grid, and ``ntheta = 90`` fills 23 operators
+for 45 angles.
 ``scipy.sparse`` is imported at the first call, not with the module.
 
 At desk scale (n = 256, R = 8) each angle samples 256 columns, where a
@@ -54,13 +62,18 @@ Gaussian and closed-form rank-m anchors, the shift against a step of
 ``h/4`` and the 2D-spline sampling of every angle from that angle's
 geometry.
 
-The geometries do not depend on each other, and the sparse products release
-the GIL, so a call splits them over up to ``min(CPUs available, 4)`` threads
-with :func:`~tensorray._workers.run_round_robin`: group ``g`` goes to thread
-``g % workers``, the calling thread included.  Each thread owns a pair's
-rows (``2 n (n + 3)`` floats) and one operator for a block of lines (at
-most 16384 nodes, four weights and indices each), built once per call and
-refilled in place: 1.7 MB together at desk scale.  Every geometry is
+The blocks of lines do not depend on each other, and the sparse products
+release the GIL, so a call splits them over up to ``min(CPUs available,
+4)`` threads with :func:`~tensorray._workers.run_in_lockstep`: block ``b``
+of every group goes to thread ``b % workers``, the calling thread included,
+and the block count is a multiple of the thread count.  First the threads
+prefilter the components, one component and walking axis each at a time,
+and wait for each other.  Then, per group, they share the group's rows
+(four arrays of ``(n + 1)(n + 3)`` floats, 2.1 MB at desk scale): member
+``a`` is combined by thread ``a % workers``, all wait, each fills its own
+operator (at most 32768 nodes a block, four weights and indices each; 0.8
+MB at desk scale on two threads) block by block and applies it to every
+member's rows, and all wait again before the next group.  Every line is
 computed the same way on any thread, so the sinogram is byte-identical
 whatever the thread count.
 """
@@ -72,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ._workers import run_round_robin
+from . import _workers
 from .fields import TensorField2D, tensor_weights
 from .grids import _check_integer
 
@@ -196,36 +209,46 @@ def _node_taps(operator, v: np.ndarray, starts: np.ndarray, n: int) -> None:
 # f - 1 + t, behind the one mirrored coefficient that starts a row
 _TAPS = np.arange(4, dtype=np.int32)
 
-# line-column nodes in one block of lines: a projector thread's operator
-# holds four weights and indices per node of a block, at most 0.75 MB
-_BLOCK_NODES = 16384
+# line-column nodes in one block of lines, at most: a projector thread's
+# operator holds four weights and indices per node of a block, 1.6 MB at most
+_BLOCK_NODES = 32768
 
 
 def _angle_groups(ntheta: int) -> list[tuple[int, ...]]:
     """The projected angles ``j < ntheta // 2``, grouped by the nodes they cross.
 
-    ``theta`` and ``pi/2 - theta`` (``3pi/2 - theta`` for ``theta`` above
-    ``3pi/4``) cross the same (line, column) nodes at the same cross
-    positions, one walking x and the other y; each pair is listed as
-    ``(j, partner)`` with the angle that walks x first.  The partner's lines
-    run in reverse order when it lies at or below ``pi/2``.  ``pi/4`` and
-    ``3pi/4`` pair with themselves, and when ``ntheta % 4 != 0`` no
-    partner is on the angle grid, so those angles form groups of one.
+    ``theta``, ``pi/2 - theta``, ``pi/2 + theta`` and ``pi - theta`` cross
+    the same (line, column) nodes, and so does an angle a half turn from one
+    of them (the same lines, walked backwards).  A group lists, in
+    increasing order, the projected angles among them: the grid angles
+    ``j' = +-j + k ntheta / 4``, taken modulo ``ntheta // 2``.  When
+    ``ntheta % 4 != 0`` only ``k = 0`` and ``k = 2`` give whole ``j'``, so
+    ``theta`` groups with ``pi - theta`` alone.  Coinciding members make
+    the groups of ``0`` (with ``pi/2``) and ``pi/4`` (with ``3pi/4``) smaller.
     """
     half = ntheta // 2
-    if ntheta % 4:
-        return [(j,) for j in range(half)]
-    quarter = ntheta // 4
-    groups = []
+    groups, grouped = [], set()
     for j in range(half):
-        if 2 * j <= quarter:
-            partner = quarter - j
-        elif 2 * j >= 3 * quarter:
-            partner = 3 * quarter - j
-        else:
-            continue  # walks y: grouped with the angle that walks x
-        groups.append((j,) if partner == j else (j, partner))
+        if j not in grouped:
+            group = tuple(sorted({
+                (sign * 4 * j + k * ntheta) // 4 % half
+                for sign in (1, -1) for k in range(4) if k * ntheta % 4 == 0
+            }))
+            grouped.update(group)
+            groups.append(group)
     return groups
+
+
+def _walking(theta: float) -> tuple[float, float, float]:
+    """``(along, across, sign)`` of the lines at ``theta``.
+
+    A line walks x when ``|cos| >= |sin|`` (``along = cos``, ``across =
+    sin``) and y otherwise (``along = sin``, ``across = cos``); it meets the
+    column at ``w`` at the cross position ``sign * p / along + w * across /
+    along``, with ``sign = 1`` walking x and ``-1`` walking y.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    return (c, s, 1.0) if abs(c) >= abs(s) else (s, c, -1.0)
 
 
 def forward(
@@ -256,22 +279,25 @@ def forward(
 
     Each component is prefiltered once per call across the columns of
     either walking axis, and an angle combines those rows with its trig
-    weights.  The line samples are one sparse operator per geometry: for
-    every (line, column) node it holds the four B-spline weights and the
-    flat indices of their taps in the rows (zero weights off the grid), and
-    ``theta`` and ``pi/2 - theta`` (or ``3pi/2 - theta``), which cross the
-    same nodes, share it.  The ``ntheta // 2`` angles below ``pi`` are
-    projected; the rest are their mirror ``(-1)^m psi(-p, theta)``, so the
-    output satisfies the parity exactly.  Every argument is validated before
-    any prefilter or projection.  ``scipy.sparse`` is imported at the first
+    weights.  The line samples are one sparse operator per group of angles
+    that cross the same nodes (``theta``, ``pi/2 - theta``, ``pi/2 + theta``
+    and ``pi - theta``): for every (line, column) node it holds the four
+    B-spline weights and the flat indices of their taps in the rows (zero
+    weights off the grid).  At ``ntheta = 128`` that is 17 operators for the
+    64 angles below ``pi``.  Those ``ntheta // 2`` angles are projected; the
+    rest are their mirror ``(-1)^m psi(-p, theta)``, so the output
+    satisfies the parity exactly.  Every argument is validated before any
+    prefilter or projection.  ``scipy.sparse`` is imported at the first
     call.
 
-    The geometries are split over up to ``min(CPUs available, 4)`` threads,
-    each with its own buffers: a pair's rows (``2 (n + 3) n`` floats) and
-    an operator over blocks of lines (four weights and indices per node,
-    at most ``16384`` nodes a block), 1.7 MB at desk scale.  The output is
-    byte-identical for any thread count.  An error on any thread is raised
-    here, after every thread has stopped.
+    The prefilter and the blocks of lines are split over up to
+    ``min(CPUs available, 4)`` threads.  They share each group's rows (four
+    arrays of ``(n + 1)(n + 3)`` floats, combined a member per thread), and
+    each refills its own operator for its blocks (four weights and indices
+    per node, at most ``32768`` nodes a block): 3.7 MB together at desk
+    scale on two threads.
+    The output is byte-identical for any thread count.  An error on any
+    thread is raised here, after every thread has stopped.
     """
     grid = f.grid
     _check_integer(num_p, "num_p")
@@ -306,15 +332,10 @@ def forward(
     # each component's 1D spline coefficients across the columns of either
     # walking axis (walking x they run across y, walking y across x), one row
     # per column, padded by one mirrored coefficient before and two after:
-    # the taps ``mode="constant"`` reads next to the edges
-    walking = [
-        np.pad(
-            np.stack([ndimage.spline_filter1d(c, order=3, mode="constant") for c in comps]),
-            ((0, 0), (0, 0), (1, 2)),
-            mode="reflect",
-        )
-        for comps in (f.components, f.components.transpose(0, 2, 1))
-    ]
+    # the taps ``mode="constant"`` reads next to the edges; the threads fill
+    # them first
+    sources = (f.components, f.components.transpose(0, 2, 1))
+    walking = [np.empty((m + 1, n, width)) for _ in sources]
     powers = np.arange(m + 1)
     weights = tensor_weights(m)
 
@@ -322,71 +343,113 @@ def forward(
         theta = 2.0 * np.pi * j / ntheta
         return weights * np.cos(theta) ** (m - powers) * np.sin(theta) ** powers
 
-    # each group's geometry, from its first angle: walking x, the line meets
-    # column x_k at y = p/c + x_k s/c; walking y, at x = -p/s + y_k c/s
+    # each group's operator holds the nodes of its first angle: walking x,
+    # the line meets column x_k at y = p/c + x_k s/c; walking y, at
+    # x = -p/s + y_k c/s.  Another member, walking its own axis, meets them
+    # in reverse line order when its sign / along differs in sign, and in
+    # mirrored column order (its column n - k at the first angle's k) when
+    # its across / along does.  The members that are not mirrored come first.
     groups = _angle_groups(ntheta)
     geometry = []
     for group in groups:
-        theta = 2.0 * np.pi * group[0] / ntheta
-        c, s = np.cos(theta), np.sin(theta)
-        walks_x = abs(c) >= abs(s)
-        along, across, offsets = (c, s, ps) if walks_x else (s, c, -ps)
-        geometry.append((walks_x, along, across, offsets))
-    walk = grid.axis()
-    starts = width * np.arange(n)  # column k's padded row starts at k (n + 3)
-    blocks = -(-num_p * n // _BLOCK_NODES)
+        along, across, sign = _walking(2.0 * np.pi * group[0] / ntheta)
+        members = []
+        for j in group:
+            along_j, across_j, sign_j = _walking(2.0 * np.pi * j / ntheta)
+            mirrored = across * along * across_j * along_j < 0
+            reverse = sign * along * sign_j * along_j < 0
+            stack = walking[0 if sign_j > 0 else 1].reshape(m + 1, -1)
+            members.append((mirrored, j, reverse, stack))
+        members.sort(key=lambda member: member[:2])
+        unmirrored = sum(not mirrored for mirrored, *_ in members)
+        geometry.append((along, across, sign * ps, members, unmirrored))
+    # x_k = -R + k h for k <= n: column n (x = R) is outside the grid, and
+    # -x_k is x_(n - k)
+    walk = -radius + h * np.arange(n + 1)
+    starts = width * np.arange(n + 1)  # column k's padded row starts at k (n + 3)
+    # a mirrored member reads at column n - k the taps the others read at k
+    to_mirror = (width * (n - 2 * np.arange(n + 1))).astype(np.int32)
+    # as many blocks of lines for every thread, of at most _BLOCK_NODES nodes
+    workers = _workers.worker_count(num_p)
+    blocks = workers * -(-num_p * (n + 1) // (workers * _BLOCK_NODES))
     lines = -(-num_p // blocks)
     first = np.empty((num_p, ntheta // 2))
 
-    def project(indices: range, rows: np.ndarray, operator) -> None:
-        # fills first[:, j] for the angles j of each group, reusing the rows
-        # buffer and refilling the operator's data and indices in place; runs
-        # on worker threads, so it calls numpy and scipy only (and the
-        # private _cubic_taps and _node_taps), never a traced function
-        for g in indices:
-            group = groups[g]
-            walks_x, along, across, offsets = geometry[g]
+    def project(indices: range, barrier, operator) -> None:
+        # fills first[:, j] for the angles j of every group, a block of lines
+        # b in indices at a time, refilling the operator's data and indices
+        # in place; runs on worker threads, so it calls numpy and scipy only
+        # (and the private _cubic_taps and _node_taps), never a traced
+        # function.
+
+        # the prefilter: walking axis k // (m + 1) and component k % (m + 1)
+        # on the thread with block k, then every thread waits for all of them
+        for k in range(indices.start, 2 * (m + 1), indices.step):
+            axis, component = divmod(k, m + 1)
+            padded = walking[axis][component]
+            ndimage.spline_filter1d(
+                sources[axis][component], order=3, mode="constant", output=padded[:, 1 : n + 1]
+            )
+            # padded as np.pad's "reflect" pads: x_1 before, x_(n-2) and
+            # x_(n-3) after
+            padded[:, 0] = padded[:, 2]
+            padded[:, n + 1] = padded[:, n - 1]
+            padded[:, n + 2] = padded[:, n - 2]
+        barrier.wait()
+
+        for along, across, offsets, members, unmirrored in geometry:
             # at a grid column the spline's weights along the walking axis
             # (1/6, 4/6, 1/6) undo that axis's prefilter: an angle's rows are
-            # the rows above, combined with its weights; the first angle
-            # walks x when it can, its partner the other axis
-            for a, j in enumerate(group):
-                np.dot(trig(j), walking[int(not walks_x) ^ a].reshape(m + 1, -1), out=rows[a])
+            # the rows above, combined with its weights.  Member a is
+            # combined by the thread with block a, then every thread waits
+            # for all the rows
+            for a in range(indices.start, len(members), indices.step):
+                _, j, _, stack = members[a]
+                np.dot(trig(j), stack, out=rows[a][:n].reshape(-1))
+            barrier.wait()
 
             # cross-axis position of every (line, column) node, a block of
             # lines at a time
             cross = (walk * across / along + radius) / h
             weight = h / abs(along)
-            for first_line in range(0, num_p, lines):
+            for b in indices:
                 # the last block ends at the last line: the lines it repeats
                 # come out the same
-                first_line = min(first_line, num_p - lines)
+                first_line = min(b * lines, num_p - lines)
                 block = slice(first_line, first_line + lines)
                 _node_taps(operator, np.add.outer(offsets[block] / (along * h), cross), starts, n)
-                for a, j in enumerate(group):
-                    # a partner at or below pi/2 meets the lines in reverse
-                    # order
-                    out = first[::-1] if a and j <= ntheta // 4 else first
-                    out[block, j] = weight * (operator @ rows[a]).reshape(4, lines).sum(axis=0)
+                for a, ((_, j, reverse, _), row) in enumerate(zip(members, rows)):
+                    if a == unmirrored:
+                        taps = operator.indices.reshape(-1, n + 1)
+                        taps += to_mirror
+                    out = first[::-1] if reverse else first
+                    samples = (operator @ row.reshape(-1)).reshape(4, lines).sum(axis=0)
+                    out[block, j] = weight * samples
+            # the next group's rows overwrite these
+            barrier.wait()
 
-    # group g goes to thread g % workers, with its own rows buffer and
-    # operator.  The buffers stay referenced until the call returns: freed
-    # before the sinogram below is built, they would leave their space to its
-    # samples, which outlive the call and keep the heap from shrinking (a
-    # desk-scale analysis then peaks ~3 MB higher).
-    buffers = []
+    # the threads share a group's rows, four separate arrays (one block of
+    # four would be a single 2.1 MB chunk: freed, it raises the allocator's
+    # threshold for mapping fresh memory, and later large temporaries stay
+    # on the heap), and each has its own operator.  All stay referenced
+    # until the call returns: freed before the sinogram below is built, they
+    # would leave their space to its samples, which outlive the call and
+    # keep the heap from shrinking (a desk-scale analysis then peaks ~3 MB
+    # higher).  Row n, x = R, stays zero.
+    rows = [np.zeros((n + 1, width)) for _ in range(max(map(len, groups)))]
+    operators = []
 
-    def new_buffers() -> tuple:
-        # every line has n columns: indptr is fixed, data and indices refilled
-        indptr = n * np.arange(4 * lines + 1, dtype=np.int32)
-        operator = sparse.csr_array(
+    def new_operator() -> tuple:
+        # every line has n + 1 columns: indptr is fixed, data and indices
+        # refilled
+        indptr = (n + 1) * np.arange(4 * lines + 1, dtype=np.int32)
+        operators.append(sparse.csr_array(
             (np.zeros(indptr[-1]), np.zeros(indptr[-1], dtype=np.int32), indptr),
-            shape=(4 * lines, n * width),
-        )
-        buffers.append((np.empty((2, n * width)), operator))
-        return buffers[-1]
+            shape=(4 * lines, (n + 1) * width),
+        ))
+        return (operators[-1],)
 
-    run_round_robin(project, len(groups), new_buffers)
+    _workers.run_in_lockstep(project, blocks, new_operator)
 
     # psi(-p, theta + pi) = (-1)^m psi(p, theta), and ps[::-1] == -ps exactly;
     # 0.0 - x rather than -x keeps the zeros unsigned, as projecting gives them

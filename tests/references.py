@@ -114,16 +114,28 @@ def reference_forward(f, num_p, ntheta, pmax=None, t_step=None):
         keep = (u >= 0) & (u <= n - 1)
         walk, u = walk[keep], u[keep]
         i0 = np.floor(u)
-        window = i0.astype(np.intp)[:, None] + np.arange(4)
-        rows = np.einsum("ak,kaj->kj", _cubic_taps(u - i0), plane[window])
-        v = np.add.outer(offsets / (along * h), (walk * across / along + radius) / h)
-        in_grid = (v >= 0) & (v <= n - 1)
-        v = np.where(in_grid, v, 0.0)
-        floor = np.floor(v)
-        taps = _cubic_taps(v - floor)
-        column = np.arange(u.size)
-        # padded index floor + t holds the coefficient of tap floor - 1 + t
-        vals = sum(taps[t] * rows[column, floor.astype(np.intp) + t] for t in range(4))
-        first.append(weight * np.where(in_grid, vals, 0.0).sum(axis=1))
+        # 128 columns at a time, and below 32 lines at a time, so that the
+        # gathered rows and the node arrays stay in cache
+        collapse = _cubic_taps(u - i0)[:, :, None]
+        start = i0.astype(np.intp)
+        rows = np.concatenate([
+            sum(collapse[t, part] * plane[start[part] + t] for t in range(4))
+            for part in np.array_split(np.arange(u.size), -(-u.size // 128))
+        ])
+        cross = (walk * across / along + radius) / h
+        # padded index floor + t of a column's row holds the coefficient of
+        # tap floor - 1 + t: the flat index of tap 0, read t places further
+        flat, row_starts = rows.ravel(), rows.shape[1] * np.arange(u.size)
+        sums = []
+        for line_offsets in np.array_split(offsets, -(-offsets.size // 32)):
+            v = np.add.outer(line_offsets / (along * h), cross)
+            in_grid = (v >= 0) & (v <= n - 1)
+            v = np.where(in_grid, v, 0.0)
+            floor = np.floor(v)
+            taps = _cubic_taps(v - floor)
+            index = floor.astype(np.intp) + row_starts
+            vals = sum(taps[t] * flat[t:].take(index) for t in range(4))
+            sums.append(np.where(in_grid, vals, 0.0).sum(axis=1))
+        first.append(weight * np.concatenate(sums))
     first = np.stack(first, axis=1)
     return np.concatenate([first, (-1.0) ** f.m * first[::-1]], axis=1)

@@ -167,9 +167,10 @@ class TestForward:
     def test_default_path_builds_rows_once_per_call(self, m, grid64, monkeypatch):
         # one 1D prefilter per component and walking axis, no 2D prefilter,
         # no per-angle collapse of the walking axis, no generic spline pass,
-        # and one operator per geometry: at ntheta = 12 the six angles below
-        # pi pair as (0, 3), (1, 2) and (5, 4), and 21 lines x 64 columns
-        # are one block of lines
+        # and one operator per group: at ntheta = 12 the six angles below pi
+        # group as (0, 3) and (1, 2, 4, 5), and on one thread 21 lines x 65
+        # columns are one block of lines
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks: 1)
         f = random_solenoidal_field(m, grid64, seed=10 + m)
         expected = forward(f, num_p=21, ntheta=12).samples
         calls = {"spline_filter1d": 0, "spline_filter": 0, "map_coordinates": 0, "einsum": 0,
@@ -194,40 +195,48 @@ class TestForward:
         assert np.array_equal(got, expected)
         assert calls == {
             "spline_filter1d": 2 * (m + 1), "spline_filter": 0, "map_coordinates": 0, "einsum": 0,
-            "_node_taps": 3,
+            "_node_taps": 2,
         }
 
-    @pytest.mark.parametrize("ntheta, pairs", [(12, [(0, 3), (1, 2), (5, 4)]),
-                                               (16, [(0, 4), (1, 3), (2,), (6,), (7, 5)])])
-    def test_angle_groups(self, ntheta, pairs):
-        # the angle that walks x first; pi/4 and 3pi/4 pair with themselves
-        assert ray._angle_groups(ntheta) == pairs
+    @pytest.mark.parametrize("ntheta, groups", [
+        (12, [(0, 3), (1, 2, 4, 5)]),
+        (16, [(0, 4), (1, 3, 5, 7), (2, 6)]),
+        # 30 % 4 != 0: pi/2 - theta is never on the grid, pi - theta always
+        (30, [(0,), (1, 14), (2, 13), (3, 12), (4, 11), (5, 10), (6, 9), (7, 8)]),
+    ])
+    def test_angle_groups(self, ntheta, groups):
+        # theta, pi/2 - theta, pi/2 + theta and pi - theta, modulo a half turn;
+        # 0 and pi/2, pi/4 and 3pi/4 each coincide with another member
+        assert ray._angle_groups(ntheta) == groups
+        assert sorted(j for group in groups for j in group) == list(range(ntheta // 2))
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_partner_columns_match_their_own_geometry(self, m, grid64, monkeypatch):
         # every angle projected with an operator built from its own geometry:
-        # the angles that own an operator come out bytewise the same, and each
-        # partner to rounding (ntheta = 32: 0 <-> pi/2, the reversed family
-        # theta <= pi/4 <-> pi/2 - theta, 3pi/2 - theta above 3pi/4, and the
-        # self-paired pi/4 and 3pi/4); pmax beyond the radius puts lines
-        # outside the grid
+        # the first angle of each group, whose geometry the operator holds,
+        # comes out bytewise the same, and every other member to rounding.
+        # At ntheta = 32 the groups hold pi/2 - theta (reversed lines),
+        # pi/2 + theta and pi - theta (reversed lines, mirrored columns), 0
+        # with pi/2, and pi/4 with 3pi/4, which walks y as pi/2 + pi/4.  pmax
+        # beyond the radius puts lines outside the grid.
         f = random_solenoidal_field(m, grid64, seed=40 + m)
-        paired = forward(f, num_p=41, ntheta=32, pmax=10.0).samples
+        grouped = forward(f, num_p=41, ntheta=32, pmax=10.0).samples
         groups = ray._angle_groups(32)
-        assert (0, 8) in groups and (1, 7) in groups and (15, 9) in groups
-        assert (4,) in groups and (12,) in groups
+        assert (1, 7, 9, 15) in groups and (0, 8) in groups and (4, 12) in groups
         monkeypatch.setattr(ray, "_angle_groups", lambda ntheta: [(j,) for j in range(ntheta // 2)])
         alone = forward(f, num_p=41, ntheta=32, pmax=10.0).samples
-        owners = [group[0] for group in groups]
-        partners = [group[1] for group in groups if len(group) == 2]
-        assert sorted(owners + partners) == list(range(16))
-        assert paired[:, owners].tobytes() == alone[:, owners].tobytes()
+        firsts = [group[0] for group in groups]
+        others = [j for group in groups for j in group[1:]]
+        assert sorted(firsts + others) == list(range(16))
+        assert grouped[:, firsts].tobytes() == alone[:, firsts].tobytes()
         peak = np.abs(alone).max()
-        assert np.abs(paired[:, partners] - alone[:, partners]).max() <= 1e-14 * peak
+        assert np.abs(grouped[:, others] - alone[:, others]).max() <= 1e-14 * peak
 
-    def test_one_operator_per_angle_without_partners(self, grid64, monkeypatch):
-        # pi/2 - theta is on the angle grid only when ntheta % 4 == 0; 21
-        # lines x 64 columns are one block of lines
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_operator_per_group_without_quarter_turns(self, workers, grid64, monkeypatch):
+        # only pi - theta is on the angle grid when ntheta % 4 != 0: 23
+        # groups at ntheta = 90; 21 lines x 65 columns make a block of lines
+        # for each thread
         fills = []
         original = ray._node_taps
 
@@ -235,14 +244,16 @@ class TestForward:
             fills.append(1)  # list.append is atomic across the worker threads
             return original(*args)
 
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks, k=workers: k)
         monkeypatch.setattr(ray, "_node_taps", counted)
         forward(gaussian_test_field(1, "solenoidal", grid64), num_p=21, ntheta=90)
-        assert len(ray._angle_groups(90)) == len(fills) == 45
+        assert len(ray._angle_groups(90)) == 23
+        assert len(fills) == 23 * workers
 
     def test_desk_scale_memory(self, grid256, monkeypatch):
-        # two workers, each with a pair's rows and an operator over blocks of
-        # lines: measured 8.8 MB; the bound is the 8.2 MB that the per-angle
-        # map_coordinates projector peaked at here, plus 2 MB
+        # two workers sharing a group's rows, each with an operator over
+        # blocks of lines: measured 9.3 MB; the bound is the 8.2 MB that the
+        # per-angle map_coordinates projector peaked at here, plus 2 MB
         f = random_solenoidal_field(3, grid256, seed=5)
         monkeypatch.setattr(_workers, "worker_count", lambda tasks: min(2, tasks))
         forward(f)  # imports scipy.sparse outside the measurement
@@ -316,24 +327,42 @@ class TestWorkers:
         monkeypatch.setattr(_workers, "ThreadPoolExecutor", no_pool)
         assert forward(f, num_p=21, ntheta=12).samples.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("fill", [1, 2])
     @pytest.mark.parametrize("where", ["worker", "caller"])
-    def test_failure_propagates_and_leaves_no_thread(self, where, grid64, monkeypatch):
+    def test_failure_propagates_and_leaves_no_thread(self, where, fill, grid64, monkeypatch):
+        # three threads, one block of 7 lines each per group: the chosen
+        # thread fails at its first or second operator fill, in the middle of
+        # a group, while the others go on to wait for it at the end of the
+        # group; the call must raise the error, not hang, and leave no thread
         f = random_solenoidal_field(2, grid64, seed=5)
-        caller = threading.current_thread()
         error = RuntimeError(f"operator fill failed on the {where}")
         original = ray._node_taps
+        fills = threading.local()
+        caller = []
+        raised = []
 
         def failing(*args, **kwargs):
-            if (threading.current_thread() is caller) == (where == "caller"):
-                raise error
+            if (threading.current_thread() is caller[0]) == (where == "caller"):
+                fills.count = getattr(fills, "count", 0) + 1
+                if fills.count == fill:
+                    raise error
             return original(*args, **kwargs)
+
+        def call():
+            caller.append(threading.current_thread())
+            try:
+                forward(f, num_p=21, ntheta=12)
+            except RuntimeError as exc:
+                raised.append(exc)
 
         monkeypatch.setattr(_workers, "worker_count", lambda tasks: 3)
         monkeypatch.setattr(ray, "_node_taps", failing)
         before = threading.active_count()
-        with pytest.raises(RuntimeError) as excinfo:
-            forward(f, num_p=21, ntheta=12)
-        assert excinfo.value is error
+        runner = threading.Thread(target=call, daemon=True)
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive()
+        assert raised == [error]
         assert threading.active_count() == before
 
 

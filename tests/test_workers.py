@@ -2,7 +2,8 @@
 
 The spectrum sampler runs its real and imaginary spline passes, and the
 inversion series its blocks of radii, through ``_workers.run_round_robin``;
-the projector's angles are covered in ``test_ray.py``.  Every output must be
+the projector's blocks of lines, which run in lockstep, are covered in
+``test_ray.py``.  Every output must be
 byte-identical for 1, 2 and 3 workers, whatever the CPU count of the host.
 """
 
@@ -84,6 +85,50 @@ class TestRoundRobin:
         assert excinfo.value is error
         assert sorted(finished) == [0, 2]
         assert threading.active_count() == before
+
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_error_aborts_the_barrier(self, failing, monkeypatch):
+        # the failing worker never reaches the barrier the others wait at:
+        # its error is raised, not the broken barrier, and no thread is left
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks: 3)
+        error = RuntimeError("failed before the barrier")
+        passed = []
+        raised = []
+
+        def work(chunk, barrier):
+            if chunk.start == failing:
+                raise error
+            barrier.wait()
+            passed.append(chunk.start)
+
+        def call():
+            try:
+                _workers.run_in_lockstep(work, 3)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        before = threading.active_count()
+        runner = threading.Thread(target=call, daemon=True)
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive()
+        assert raised == [error]
+        assert passed == []
+        assert threading.active_count() == before
+
+    def test_workers_wait_for_each_other(self, monkeypatch):
+        # no worker starts its second step before every worker ended its first
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks: 3)
+        steps = []  # list.append is atomic across threads
+
+        def work(chunk, barrier):
+            for step in range(4):
+                steps.append(step)
+                barrier.wait()
+
+        _workers.run_in_lockstep(work, 5)
+        assert steps == sorted(steps) and len(steps) == 12
 
 
 class TestThreadedSpectrum:
