@@ -16,6 +16,7 @@ the effective configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -255,10 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads arguments with, built once per process.
+
+    Parsing leaves a parser as it was, so one serves every call.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:

@@ -14,9 +14,11 @@ This module is the numerical substrate for everything else in the package:
   ``c_l = (1/2pi) * integral(g(phi) exp(-i l phi) dphi)``, along the last
   axis of equispaced samples.
 * :func:`polar_sample` — quintic-spline samples of a grid-sampled spectrum
-  at polar frequency nodes.  It assumes the spectrum has decayed well inside
-  the grid, since the spline's boundary error falls off only geometrically
-  with the distance from the edge.
+  at polar frequency nodes: the coefficients ``map_coordinates(order=5)``
+  would prefilter, read by a sparse operator of the nodes' 6 x 6 B-spline
+  weights.  It assumes the spectrum has decayed well inside the grid, since
+  the spline's boundary error falls off only geometrically with the
+  distance from the edge.
 
 All functions are pure; arrays are never modified in place.
 """
@@ -24,6 +26,7 @@ All functions are pure; arrays are never modified in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import cos, sin
 
 import numpy as np
 from scipy import ndimage
@@ -172,17 +175,122 @@ def angular_coefficient_matrix(samples: np.ndarray, lmax: int) -> np.ndarray:
     return raw[..., idx]
 
 
-def _sample_polar_window(grid: CartesianGrid, qs, phis, window_values) -> np.ndarray:
+# tap t of a position with floor f reads the coefficient f - 2 + t
+_TAPS = np.arange(6)
+
+# polar nodes in one block, at most: a thread's operator holds 36 weights
+# and indices per node of a block, 221 kB at most
+_BLOCK_NODES = 512
+
+
+def _angle_groups(ntheta: int) -> list[tuple[int, ...]]:
+    """The angles ``j < ntheta // 2`` of ``2 pi j / ntheta``, grouped by the quarter-turn symmetry.
+
+    ``theta``, ``pi/2 - theta``, ``pi/2 + theta`` and ``pi - theta``, and an
+    angle a half turn from one of them, are images of each other under the
+    reflections ``x -> -x``, ``y -> -y`` and ``x <-> y``: the projector's
+    lines at them cross the same (line, column) nodes (a half turn walks
+    the same lines backwards), and the spectrum sampler's polar nodes at
+    them, offset by a multiple of ``pi/2``, are reflections of each other
+    through the frequency origin.  A group lists, in
+    increasing order, the angles ``j < ntheta // 2`` among them: the grid
+    angles ``j' = +-j + k ntheta / 4``, taken modulo ``ntheta // 2``.  When
+    ``ntheta % 4 != 0`` only ``k = 0`` and ``k = 2`` give whole ``j'``, so
+    ``theta`` groups with ``pi - theta`` alone.  Coinciding members make
+    the groups of ``0`` (with ``pi/2``) and ``pi/4`` (with ``3pi/4``) smaller.
+    """
+    half = ntheta // 2
+    groups, grouped = [], set()
+    for j in range(half):
+        if j not in grouped:
+            group = tuple(sorted({
+                (sign * 4 * j + k * ntheta) // 4 % half
+                for sign in (1, -1) for k in range(4) if k * ntheta % 4 == 0
+            }))
+            grouped.update(group)
+            groups.append(group)
+    return groups
+
+
+def _quintic_taps(frac: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Quintic B-spline weights of the taps ``floor - 2 .. floor + 3``, written to ``out``.
+
+    ``frac`` is the offset of each point from its floor, in ``[0, 1)``;
+    ``out`` has a leading axis of length 6, one tap each.  With ``g = 1 -
+    frac``, the taps sit at distances ``2 + frac, 1 + frac, frac, g, 1 + g,
+    2 + g`` from the point, and ``beta5(x)`` is ``11/20 - x^2/2 + x^4/4 -
+    x^5/12`` for ``x <= 1``, ``((3 - x)^5 - 6 (2 - x)^5) / 120`` for ``1 <=
+    x <= 2`` and ``(3 - x)^5 / 120`` for ``2 <= x <= 3``.
+    """
+    g = 1.0 - frac
+    # frac gives the weights of the taps floor, floor + 2 and floor + 3;
+    # g those of floor + 1, floor - 1 and floor - 2
+    for x, near, middle, far in ((frac, out[2], out[4], out[5]), (g, out[3], out[1], out[0])):
+        np.multiply(x, x, out=middle)  # x^2 until far is known
+        np.multiply(middle, middle, out=near)  # x^4
+        np.multiply(near, x, out=far)
+        far /= 120.0  # x^5 / 120: beta5(3 - x)
+        near *= 0.25
+        near += 11.0 / 20.0
+        near -= 10.0 * far
+        middle *= 0.5
+        near -= middle  # beta5(x)
+        # beta5(2 - x) = ((1 + x)^5 - 6 x^5) / 120
+        y = x + 1.0
+        np.multiply(y, y, out=middle)
+        middle *= middle
+        middle *= y
+        middle /= 120.0
+        middle -= 6.0 * far
+    return out
+
+
+def _spline_taps(operator, weights: np.ndarray, start: np.ndarray, stencil: np.ndarray) -> None:
+    """Refill ``operator`` with the quintic spline taps of a block of nodes.
+
+    ``weights[:, a, i]`` are node ``i``'s six B-spline weights along axis
+    ``a`` and ``start[i]`` the flat index of its first tap in the
+    coefficients the operator reads; its taps sit at ``start[i] +
+    stencil``.  Row ``i`` of the operator gets the 36 products of the two
+    axes' weights, so it sums to the node's sample.
+    """
+    size = start.size
+    np.einsum("in,kn->nik", weights[:, 0], weights[:, 1], out=operator.data.reshape(size, 6, 6))
+    np.add(start[:, None], stencil, out=operator.indices.reshape(size, 36))
+
+
+def _sample_polar_window(
+    grid: CartesianGrid, qs, phis, window_values, groups: list[tuple[int, ...]] | None = None
+) -> np.ndarray:
     """Quintic splines at the polar nodes over the index window they reach.
 
     Validates the nodes, finds the window (their reach widened by
     ``_PREFILTER_MARGIN`` samples on each side, clipped at the grid edge)
     and samples ``window_values(window)``, the complex grid function on that
     ``(rows, columns)`` slice pair, there.  Nothing is computed before the
-    nodes pass.  The real and imaginary parts are prefiltered and sampled
-    on up to two threads (:func:`~tensorray._workers.run_round_robin`),
-    each exactly as ``map_coordinates`` treats a complex input, so the
-    samples are byte-identical to one thread's.
+    nodes pass.  The real and imaginary parts are prefiltered as
+    ``map_coordinates(order=5, mode="constant")`` prefilters them, on up to
+    two threads, the second pass only over the rows the taps read.  A sparse
+    operator then holds, for every node of a block of radii, the 6 x 6
+    B-spline weights of its position and the flat indices of their taps,
+    and ``operator @ coefficients`` sums them.  A tap past the grid's edge
+    reads the coefficient mirrored about it, and a node off the grid keeps
+    zero weights and reads zero, both as in ``mode="constant"``.  Positions
+    are measured from the centre sample (frequency 0) and so rounded at
+    their own size, not at ``n/2``.
+
+    ``groups`` lists indices of angles whose nodes are images of each other
+    under the reflections ``x -> -x``, ``y -> -y`` and ``x <-> y`` through
+    the centre sample.  The operator holds the first angle of a group and
+    serves every member: a member reads the coefficients reflected to its
+    side (its reflection derived from its own and the first angle's cos and
+    sin), laid out over the box of taps the first angles read, one column
+    per reflection and part.  That holds only where the window lies inside
+    the grid with its whole margin, so that its coefficients do not depend
+    on an edge; otherwise, and without ``groups``, each angle is its own
+    group.  The blocks run on up to four threads, each with its own
+    operator, and write their own samples: the output is byte-identical for
+    any thread count.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
@@ -194,32 +302,138 @@ def _sample_polar_window(grid: CartesianGrid, qs, phis, window_values) -> np.nda
             f"requested radius {reach:.6g} exceeds the grid extent "
             f"{grid.radius:.6g} (the Nyquist bound of the sampled transform)"
         )
-    # (q cos(phi) + R) / h and (q sin(phi) + R) / h, in sample units
-    coords = np.empty((2, qs.size, phis.size))
-    for axis, trig in enumerate((np.cos, np.sin)):
-        np.multiply.outer(qs, trig(phis), out=coords[axis])
-        coords[axis] += grid.radius
-        coords[axis] /= grid.spacing
-    window = [slice(0, grid.n), slice(0, grid.n)]
-    if coords.size:
-        for axis in (0, 1):
-            lo = max(0, int(np.floor(coords[axis].min())) - _PREFILTER_MARGIN)
-            hi = min(grid.n, int(np.ceil(coords[axis].max())) + _PREFILTER_MARGIN + 1)
-            coords[axis] -= lo
-            window[axis] = slice(lo, hi)
+    out = np.empty((qs.size, phis.size), dtype=complex)
+    if not out.size:
+        return out
+    half = grid.n // 2
+    # a node's offset in samples from the centre sample (index n/2) is
+    # q cos(phi) / h along x and q sin(phi) / h along y; rounding keeps
+    # their order, so their extremes lie at the extreme radii and angles
+    ends = qs[[qs.argmin(), qs.argmax()]]
+    window, inside = [], True
+    for trig in (np.cos(phis), np.sin(phis)):
+        corners = np.multiply.outer(ends, trig[[trig.argmin(), trig.argmax()]]) / grid.spacing
+        lo = half + int(np.floor(corners.min())) - _PREFILTER_MARGIN
+        hi = half + int(np.ceil(corners.max())) + _PREFILTER_MARGIN + 1
+        inside &= lo >= 0 and hi <= grid.n
+        window.append(slice(max(lo, 0), min(hi, grid.n)))
+    if groups is None or not inside:
+        groups = [(j,) for j in range(phis.size)]
     values = window_values(tuple(window))
-    out = np.empty(coords.shape[1:], dtype=complex)
-    # the real and imaginary passes scipy would run one after the other on a
-    # complex input, here on up to two threads; each writes its own part
-    parts = ((values.real, out.real), (values.imag, out.imag))
+    last = np.array([w.stop - w.start - 1 for w in window])  # the window's last index
+    centre = np.array([half - w.start for w in window])  # the centre's index in the window
 
-    def spline(which: range) -> None:
-        # runs on a worker thread: scipy only
+    # every group's first angle at its radii, in blocks of equal size (the
+    # last block repeats the last radius).  A node is on the grid where its
+    # offsets lie in [-n/2, n/2 - 1]; off it, its weights are zero and its
+    # position is clipped into the window
+    blocks = -(-qs.size // _BLOCK_NODES)
+    size = -(-qs.size // blocks)
+    radial = qs[np.minimum(np.arange(blocks * size), qs.size - 1)]
+    position = np.empty((2, len(groups), blocks * size))
+    for axis, trig in enumerate((np.cos, np.sin)):
+        np.multiply.outer(trig(phis[[group[0] for group in groups]]), radial, out=position[axis])
+        position[axis] /= grid.spacing
+    on_grid = ((position >= -half) & (position <= half - 1)).all(axis=0)
+    np.clip(position, -centre[:, None, None], (last - centre)[:, None, None], out=position)
+    floor = np.floor(position)
+    frac = np.subtract(position, floor, out=position)
+    # each node's first tap (floor - 2) from the centre, and the box of
+    # offsets the first angles' taps read, over which the operators index
+    start = floor.astype(np.int32)
+    del floor
+    start -= 2
+    lo = start.min(axis=(1, 2))
+    box = start.max(axis=(1, 2)) + 6 - lo
+    start -= lo[:, None, None]
+    start = start[0] * box[1] + start[1]
+    stencil = (box[1] * _TAPS[:, None] + _TAPS).astype(np.int32).reshape(-1)
+
+    # a member reads the first angle's taps reflected through the centre:
+    # axes swapped or not, then x and y flipped or not, as takes the first
+    # angle's (cos, sin) to its own.  Each reflection in use reads the box
+    # at the window's rows take[0] and columns take[1].  A tap past the
+    # window's edge reads the coefficient mirrored about it, as
+    # map_coordinates' mode="constant" does at the grid's edge; an index
+    # whose reflection leaves the window holds no tap and is clipped
+    def reflection(first: float, member: float) -> tuple[bool, int, int]:
+        c0, s0, c, s = cos(first), sin(first), cos(member), sin(member)
+        swap = (abs(c) >= abs(s)) != (abs(c0) >= abs(s0))
+        x, y = (s0, c0) if swap else (c0, s0)
+        return swap, 1 if c * x >= 0 else -1, 1 if s * y >= 0 else -1
+
+    def mirrored(index: np.ndarray, last: int) -> np.ndarray:
+        return np.clip(last - np.abs(last - np.abs(index)), 0, last)
+
+    reflections = [[reflection(phis[group[0]], phis[j]) for j in group] for group in groups]
+    used = sorted({r for group in reflections for r in group})
+    members = [
+        [(j, used.index(r)) for j, r in zip(group, group_reflections)]
+        for group, group_reflections in zip(groups, reflections)
+    ]
+    offsets = [lo[axis] + np.arange(box[axis]) for axis in (0, 1)]
+    takes = []
+    for swap, sign_x, sign_y in used:
+        along_x, along_y = offsets[::-1] if swap else offsets
+        takes.append((
+            mirrored(centre[0] + sign_x * along_x, last[0]),
+            mirrored(centre[1] + sign_y * along_y, last[1]),
+        ))
+    # the rows any tap reads: only they need the second prefilter pass
+    read = slice(min(take[0].min() for take in takes), max(take[0].max() for take in takes) + 1)
+
+    # only the sampler and the projector use scipy.sparse, and importing it
+    # takes 10-12 ms
+    from scipy import sparse
+
+    parts = [np.empty(last + 1) for _ in range(2)]
+
+    def prefilter(which: range) -> None:
+        # runs on a worker thread: scipy only.  Both passes run as in
+        # map_coordinates' prefilter, x then y, the second only over the rows
+        # the taps read, where the coefficients come out the same
         for k in which:
-            part, part_out = parts[k]
-            ndimage.map_coordinates(part, coords, output=part_out, order=5, mode="constant")
+            ndimage.spline_filter1d(
+                values.imag if k else values.real, order=5, axis=0, mode="constant", output=parts[k]
+            )
+            part = parts[k][read]
+            ndimage.spline_filter1d(part, order=5, axis=1, mode="constant", output=part)
 
-    run_round_robin(spline, 2)
+    run_round_robin(prefilter, 2)
+    del values
+    # either part's coefficients over the box, one column per reflection
+    columns = np.empty((box[0], box[1], len(used), 2))
+    for t, ((swap, _, _), take) in enumerate(zip(used, takes)):
+        for k, part in enumerate(parts):
+            taken = part[np.ix_(*take)]
+            columns[:, :, t, k] = taken.T if swap else taken
+    columns = columns.reshape(box[0] * box[1], -1)
+    del parts
+    weights = _quintic_taps(frac, np.empty((6, *frac.shape)))
+    weights *= on_grid
+    del frac, position
+    pairs = out.view(float).reshape(qs.size, phis.size, 2)
+
+    def sample(which: range, operator) -> None:
+        # runs on a worker thread: numpy, scipy and _spline_taps only
+        for task in which:
+            g, b = divmod(task, blocks)
+            block = slice(b * size, (b + 1) * size)
+            _spline_taps(operator, weights[:, :, g, block], start[g, block], stencil)
+            samples = (operator @ columns).reshape(size, len(used), 2)
+            written = slice(b * size, min((b + 1) * size, qs.size))
+            for j, t in members[g]:
+                pairs[written, j] = samples[: written.stop - written.start, t]
+
+    def new_operator() -> tuple:
+        # every node has 36 taps: indptr is fixed, data and indices refilled
+        indptr = 36 * np.arange(size + 1, dtype=np.int32)
+        return (sparse.csr_array(
+            (np.zeros(indptr[-1]), np.zeros(indptr[-1], dtype=np.int32), indptr),
+            shape=(size, columns.shape[0]),
+        ),)
+
+    run_round_robin(sample, len(groups) * blocks, new_operator)
     return out
 
 
@@ -244,8 +458,15 @@ def polar_sample(
     equal the whole grid's to rounding.  That window is all of ``values``
     the samples read, so a caller that can compute the window alone (as
     :func:`~tensorray.fields.component_spectrum_polar` does) gets the same
-    samples without the rest of the grid.  The two parts' splines run on up
-    to two threads; the samples do not depend on the thread count.
+    samples without the rest of the grid.
+
+    Each part is prefiltered as ``map_coordinates(order=5,
+    mode="constant")`` prefilters it, and every node's sample is the sum of
+    its 36 B-spline weights times the coefficients they tap, taken by a
+    sparse operator filled a block of nodes at a time; the samples match
+    ``map_coordinates`` to rounding.  The two prefilters run on up to two
+    threads and the blocks on up to four; the samples do not depend on the
+    thread count.
     """
     values = np.asarray(values, dtype=complex)
     return _sample_polar_window(grid, qs, phis, values.__getitem__)

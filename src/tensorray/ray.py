@@ -87,7 +87,7 @@ from scipy import ndimage
 
 from . import _workers
 from .fields import TensorField2D, tensor_weights
-from .grids import _check_integer
+from .grids import _angle_groups, _check_integer
 
 __all__ = ["Sinogram", "forward", "parity_residual"]
 
@@ -212,31 +212,6 @@ _TAPS = np.arange(4, dtype=np.int32)
 # line-column nodes in one block of lines, at most: a projector thread's
 # operator holds four weights and indices per node of a block, 1.6 MB at most
 _BLOCK_NODES = 32768
-
-
-def _angle_groups(ntheta: int) -> list[tuple[int, ...]]:
-    """The projected angles ``j < ntheta // 2``, grouped by the nodes they cross.
-
-    ``theta``, ``pi/2 - theta``, ``pi/2 + theta`` and ``pi - theta`` cross
-    the same (line, column) nodes, and so does an angle a half turn from one
-    of them (the same lines, walked backwards).  A group lists, in
-    increasing order, the projected angles among them: the grid angles
-    ``j' = +-j + k ntheta / 4``, taken modulo ``ntheta // 2``.  When
-    ``ntheta % 4 != 0`` only ``k = 0`` and ``k = 2`` give whole ``j'``, so
-    ``theta`` groups with ``pi - theta`` alone.  Coinciding members make
-    the groups of ``0`` (with ``pi/2``) and ``pi/4`` (with ``3pi/4``) smaller.
-    """
-    half = ntheta // 2
-    groups, grouped = [], set()
-    for j in range(half):
-        if j not in grouped:
-            group = tuple(sorted({
-                (sign * 4 * j + k * ntheta) // 4 % half
-                for sign in (1, -1) for k in range(4) if k * ntheta % 4 == 0
-            }))
-            grouped.update(group)
-            groups.append(group)
-    return groups
 
 
 def _walking(theta: float) -> tuple[float, float, float]:

@@ -406,3 +406,39 @@ class TestUsageErrors:
     def test_bad_convention(self, capsys, field_file):
         assert run(capsys, "check", "reshetnyak", str(field_file),
                    "--convention", "unitary")[0] == 2
+
+
+class TestParserOncePerProcess:
+    def sessions(self, capsys, sino_file, tmp_path):
+        # different subcommands in a row, a usage error among them
+        return [
+            run(capsys, "check", "moments", str(sino_file), "--rmax", "2"),
+            run(capsys, "export-csv", str(sino_file), str(tmp_path / "s.csv")),
+            run(capsys, "check", "moments", str(sino_file), "--tol", "-1"),
+            run(capsys, "check", "moments", str(sino_file)),
+        ]
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch, sino_file, tmp_path):
+        from tensorray import cli
+
+        built = []
+        original = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        cached = cli._parser
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cached.cache_clear()
+        try:
+            shared = self.sessions(capsys, sino_file, tmp_path)
+            assert len(built) == 1
+            # a fresh parser for every call prints the same reports
+            monkeypatch.setattr(cli, "_parser", counted)
+            fresh = self.sessions(capsys, sino_file, tmp_path)
+        finally:
+            cached.cache_clear()
+        assert len(built) == 5
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+        assert shared == fresh

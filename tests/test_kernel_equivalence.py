@@ -3,8 +3,9 @@
 Each reference below is the direct form of what a kernel computes, kept here
 as the oracle: the p-transform as a complex-exponential quadrature over every
 offset, its kernel ``e^{i q p}`` in long double, the polar sampler as
-quintic splines prefiltered over the whole grid, the polar spectrum as the
-padded complex transform sampled over the full turn, the inversion series as
+quintic splines prefiltered over the whole grid (``map_coordinates``), the
+polar spectrum as the padded complex transform sampled over the full turn by
+those splines, the inversion series as
 the per-block quadrature of the whole sinogram summed harmonic by harmonic
 over every dual-grid point, and the divergence gate as spatial rows
 transformed back from their spectra.  The projector's oracle, the 2D spline
@@ -44,7 +45,7 @@ from tensorray import (
     random_solenoidal_field,
     relative_divergence_residual,
 )
-from tensorray import inversion
+from tensorray import fields, grids, inversion
 from tensorray.fields import tensor_weights
 from tensorray.grids import fourier_transform_2d
 from tensorray.inversion import _quarter_turn_series
@@ -79,11 +80,14 @@ def reference_polar_sample(values, grid, qs, phis):
 
 
 def reference_spectrum_polar(f, j, pgrid, angle_offset=0.0, turn=1.0):
-    """The 2x padded complex spectrum sampled at the angles of the first ``turn`` turns."""
+    """The 2x padded complex spectrum sampled at the angles of the first ``turn`` turns.
+
+    Sampled by :func:`reference_polar_sample`, not by the kernel under test.
+    """
     big, big_grid = pad_samples(f.component(j), f.grid, 2)
     spec = fourier_transform_2d(big, big_grid)
     phis = pgrid.angular_nodes()[: round(turn * pgrid.ntheta)] + angle_offset
-    return polar_sample(spec, big_grid.dual(), pgrid.radial_nodes(), phis)
+    return reference_polar_sample(spec, big_grid.dual(), pgrid.radial_nodes(), phis)
 
 
 def reference_p_kernel(psi, qs):
@@ -350,6 +354,16 @@ class TestSpectrumWindow:
         bound = grid128.spacing**2 / (2.0 * np.pi) * np.abs(f.components[1]).sum()
         assert np.abs(got[:, :1] - ref).max() < REL * bound
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_slice_check_traffic(self, m, grid256):
+        # what the slice checks sample at desk scale: component m on the half
+        # turn at a quarter-turn offset, nq = 512, ntheta = 128, qmax = R
+        f = random_solenoidal_field(m, grid256, seed=9 + m)
+        pgrid = PolarFrequencyGrid(nq=512, qmax=8.0, ntheta=128)
+        got = component_spectrum_polar(f, m, pgrid, angle_offset=np.pi / 2)
+        ref = reference_spectrum_polar(f, m, pgrid, angle_offset=np.pi / 2, turn=0.5)
+        assert relative_gap(got[:, :64], ref) < REL
+
     def test_raises_before_any_transform(self, monkeypatch, grid64):
         def refuse(*args, **kwargs):
             raise AssertionError("transformed before checking the nodes")
@@ -389,6 +403,66 @@ class TestSpectrumWindow:
         finally:
             tracemalloc.stop()
         assert peak < (2 * grid128.n) ** 2 * 16
+
+
+class TestSharedFill:
+    # Every angle sampled from an operator filled for its own nodes: the
+    # first angle of each group, whose fill the operator holds, comes out
+    # bytewise the same, and every other member to rounding.  At ntheta = 32
+    # a group holds theta, pi/2 - theta, pi/2 + theta and pi - theta (modulo
+    # a half turn); at ntheta = 30 only theta and pi - theta.
+    @staticmethod
+    def alone(f, j, pgrid, angle_offset, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(fields, "_angle_groups", lambda ntheta: [(a,) for a in range(ntheta // 2)])
+            return component_spectrum_polar(f, j, pgrid, angle_offset=angle_offset)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("ntheta, angle_offset", [(32, np.pi / 2), (32, 0.0), (30, np.pi / 2)])
+    def test_members_match_their_own_fill(self, m, ntheta, angle_offset, grid128, monkeypatch):
+        f = random_solenoidal_field(m, grid128, seed=40 + m)
+        pgrid = PolarFrequencyGrid(nq=48, qmax=8.0, ntheta=ntheta)
+        groups = fields._angle_groups(ntheta)
+        assert max(map(len, groups)) == (4 if ntheta % 4 == 0 else 2)
+        shared = component_spectrum_polar(f, m, pgrid, angle_offset=angle_offset)
+        alone = self.alone(f, m, pgrid, angle_offset, monkeypatch)
+        firsts = [group[0] for group in groups]
+        assert shared[:, firsts].tobytes() == alone[:, firsts].tobytes()
+        assert np.abs(shared - alone).max() <= 1e-14 * np.abs(alone).max()
+
+    def count_fills(self, monkeypatch):
+        fills = []
+        original = grids._spline_taps
+
+        def counted(*args):
+            fills.append(1)  # list.append is atomic across the worker threads
+            return original(*args)
+
+        monkeypatch.setattr(grids, "_spline_taps", counted)
+        return fills
+
+    def test_clipped_window_samples_each_angle_alone(self, grid128, monkeypatch):
+        # qmax = 25.1 reaches within the margin of the padded dual grid's
+        # edge at 25.13: the coefficients there depend on the edge, which a
+        # reflection through the centre does not map onto itself
+        f = random_solenoidal_field(2, grid128, seed=5)
+        pgrid = PolarFrequencyGrid(nq=48, qmax=25.1, ntheta=32)
+        alone = self.alone(f, 2, pgrid, np.pi / 2, monkeypatch)
+        fills = self.count_fills(monkeypatch)
+        shared = component_spectrum_polar(f, 2, pgrid, angle_offset=np.pi / 2)
+        assert len(fills) == 16
+        assert shared.tobytes() == alone.tobytes()
+
+    def test_off_centre_arc_samples_each_angle_alone(self, grid256, monkeypatch):
+        # an arc of 0.5 rad 60 samples out: no angle's reflection is a node
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        qs = np.linspace(0.05, 60.0 * grid256.spacing, 17)
+        phis = np.linspace(0.0, 0.5, 23, endpoint=False) + 0.1
+        fills = self.count_fills(monkeypatch)
+        got = polar_sample(values, grid256, qs, phis)
+        assert len(fills) == 23
+        assert relative_gap(got, reference_polar_sample(values, grid256, qs, phis)) < REL
 
 
 def _noise_sinogram(m, num_p, ntheta=32, seed=0):

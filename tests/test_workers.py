@@ -1,10 +1,10 @@
 """The threaded spectral kernels: no output depends on the worker count.
 
-The spectrum sampler runs its real and imaginary spline passes, and the
-inversion series its blocks of radii, through ``_workers.run_round_robin``;
-the projector's blocks of lines, which run in lockstep, are covered in
-``test_ray.py``.  Every output must be
-byte-identical for 1, 2 and 3 workers, whatever the CPU count of the host.
+The spectrum sampler runs its two prefilters and its blocks of nodes, and
+the inversion series its blocks of radii, through
+``_workers.run_round_robin``; the projector's blocks of lines, which run in
+lockstep, are covered in ``test_ray.py``.  Every output must be
+byte-identical for 1, 2, 3 and 4 workers, whatever the CPU count of the host.
 """
 
 import sys
@@ -22,10 +22,10 @@ from tensorray import (
     gaussian_test_field,
     random_solenoidal_field,
 )
-from tensorray import _workers, inversion
+from tensorray import _workers, grids, inversion
 from tensorray.inversion import _quarter_turn_series
 
-WORKERS = (1, 2, 3)
+WORKERS = (1, 2, 3, 4)
 
 
 def outputs_by_workers(monkeypatch, compute):
@@ -133,8 +133,9 @@ class TestRoundRobin:
 
 class TestThreadedSpectrum:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    @pytest.mark.parametrize("angle_offset", [0.0, np.pi / 2])
+    @pytest.mark.parametrize("angle_offset", [0.0, np.pi / 2, 0.3])
     def test_worker_count_changes_no_byte(self, m, angle_offset, grid128, monkeypatch):
+        # the quarter-turn offsets share fills within a group, 0.3 does not
         f = _field(m, grid128)
         pgrid = PolarFrequencyGrid(nq=64, qmax=8.0, ntheta=32)
         for j in range(m + 1):
@@ -145,24 +146,57 @@ class TestThreadedSpectrum:
             assert np.abs(outputs[0]).max() > 0.0
             assert_byte_identical(outputs)
 
-    def test_two_spline_passes_per_call(self, grid64, monkeypatch):
-        # one real and one imaginary pass, whichever thread runs them
-        f = random_solenoidal_field(1, grid64, seed=3)
-        pgrid = PolarFrequencyGrid(nq=16, qmax=8.0, ntheta=8)
-        expected = component_spectrum_polar(f, 1, pgrid)
-        calls = []
-        original = ndimage.map_coordinates
+    def test_more_workers_than_cores_with_fast_switching(self, grid128, monkeypatch):
+        # six workers on 900 radii in 9 groups of two blocks, switching
+        # threads every microsecond: a block that wrote outside its own
+        # samples, or two workers sharing an operator, would lose or mix
+        # values
+        f = random_solenoidal_field(2, grid128, seed=8)
+        pgrid = PolarFrequencyGrid(nq=900, qmax=8.0, ntheta=32)
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks: 1)
+        expected = component_spectrum_polar(f, 2, pgrid, angle_offset=np.pi / 2)
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks: min(6, tasks))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outputs = [component_spectrum_polar(f, 2, pgrid, angle_offset=np.pi / 2) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert_byte_identical([expected] + outputs)
 
-        def counted(*args, **kwargs):
-            calls.append(threading.current_thread())
-            return original(*args, **kwargs)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("angle_offset, nq, fills", [
+        (np.pi / 2, 16, 3), (0.0, 16, 3), (0.3, 16, 8), (np.pi / 2, 600, 6),
+    ])
+    def test_one_fill_per_group_block_and_no_map_coordinates(
+        self, workers, angle_offset, nq, fills, grid128, monkeypatch
+    ):
+        # at ntheta = 16 a quarter-turn offset groups the eight angles below
+        # pi as (0, 4), (1, 3, 5, 7) and (2, 6), and any other offset leaves
+        # them alone; up to 512 radii are one block, 600 are two
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks: 1)
+        f = random_solenoidal_field(1, grid128, seed=3)
+        pgrid = PolarFrequencyGrid(nq=nq, qmax=8.0, ntheta=16)
+        expected = component_spectrum_polar(f, 1, pgrid, angle_offset=angle_offset)
+        calls = {"map_coordinates": 0, "_spline_taps": 0}
+        lock = threading.Lock()  # worker threads fill the operators
 
-        monkeypatch.setattr(_workers, "worker_count", lambda tasks: 2)
-        monkeypatch.setattr(ndimage, "map_coordinates", counted)
-        got = component_spectrum_polar(f, 1, pgrid)
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                with lock:
+                    calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(ndimage, "map_coordinates")
+        counted(grids, "_spline_taps")
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks, k=workers: min(k, tasks))
+        got = component_spectrum_polar(f, 1, pgrid, angle_offset=angle_offset)
         assert np.array_equal(got, expected)
-        assert len(calls) == 2
-        assert len(set(calls)) == 2
+        assert calls == {"map_coordinates": 0, "_spline_taps": fills}
 
 
 class TestThreadedSeries:
