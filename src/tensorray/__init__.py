@@ -16,7 +16,6 @@ from .fields import (
     relative_divergence_residual,
     relative_l2_error,
     solenoidal_project,
-    synthesize_solenoidal,
     tensor_weights,
 )
 from .grids import (
@@ -59,7 +58,6 @@ from .slices import (
     fst_solenoidal_residual,
     measure_slice_constant,
     slice_pair,
-    tilde_coefficients,
 )
 
 __version__ = "0.1.0"
@@ -104,9 +102,7 @@ __all__ = [
     "sinogram_norm",
     "slice_pair",
     "solenoidal_project",
-    "synthesize_solenoidal",
     "tensor_weights",
-    "tilde_coefficients",
     "write_field",
     "write_sinogram",
 ]

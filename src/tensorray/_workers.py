@@ -4,15 +4,17 @@ The projector's blocks of lines, the spectrum sampler's two prefilters (real
 and imaginary part) and its blocks of nodes, and the inversion series'
 radius blocks do not depend on each other, and the numpy and scipy calls
 that do their work release the GIL.
-Each is split here over up to ``min(CPUs available, 4, tasks)`` threads:
-task ``k`` goes to thread ``k % workers``, the calling thread included.
+Each is split here over up to ``min(CPUs available, 4, tasks)`` threads by
+:func:`run_in_lockstep`: task ``k`` goes to thread ``k % workers``, the
+calling thread included.
 Every task is computed the same way on any thread and writes its own part of
 the output, so results are byte-identical whatever the thread count.
 
 The projector's workers also share working arrays: each angle group's rows
 are filled by all of them, then read by all of them.  They wait for each
-other at a barrier between those steps (:func:`run_in_lockstep`); a worker
-that fails aborts the barrier, so no other worker waits for it forever.
+other at a barrier between those steps; the other kernels never wait and
+ignore it.  A worker that fails aborts the barrier, so no other worker waits
+for it forever.
 
 Work run on the threads calls only numpy, scipy and private helpers, never a
 public ``tensorray`` function: the benchmark tracer wraps those and keeps a
@@ -46,23 +48,14 @@ def worker_count(tasks: int) -> int:
     return min(cpus, _MAX_WORKERS, tasks)
 
 
-def run_round_robin(
-    work: Callable[..., None], tasks: int, buffers: Callable[[], tuple] = tuple
-) -> None:
-    """Call ``work(range(k, tasks, workers), *buffers())`` for each ``k < workers``.
-
-    :func:`run_in_lockstep` for work that never waits on the other workers.
-    """
-    run_in_lockstep(lambda chunk, barrier, *args: work(chunk, *args), tasks, buffers)
-
-
 def run_in_lockstep(
     work: Callable[..., None], tasks: int, buffers: Callable[[], tuple] = tuple
 ) -> None:
     """Call ``work(range(k, tasks, workers), barrier, *buffers())`` for each ``k < workers``.
 
     ``workers = worker_count(tasks)``, and ``barrier`` is one
-    ``threading.Barrier`` for all of them.  ``buffers`` runs on the calling
+    ``threading.Barrier`` for all of them, which work that never waits on
+    the other workers ignores.  ``buffers`` runs on the calling
     thread, once per worker, so a worker's working arrays come from the
     caller's heap and are not left behind in a thread's.  The caller runs
     ``k = 0`` and a pool of ``workers - 1`` threads the rest; one worker (or

@@ -13,7 +13,7 @@ A rank-``m`` symmetric tensor field in two dimensions is determined by the
   component ``j`` equals ``a * (-sin phi)^(m-j) * (cos phi)^j`` in polar
   frequency coordinates.
 
-:func:`synthesize_solenoidal` builds fields from samples of an amplitude
+:func:`_synthesize_solenoidal` builds fields from samples of an amplitude
 ``a``, and :func:`solenoidal_project` is the frequency-wise orthogonal
 projection onto that line.  :func:`gaussian_test_field` provides
 deterministic, rapidly decaying test fields of each kind in closed form:
@@ -55,7 +55,6 @@ __all__ = [
     "relative_divergence_residual",
     "require_solenoidal",
     "solenoidal_project",
-    "synthesize_solenoidal",
     "gaussian_test_field",
     "random_solenoidal_field",
     "component_spectrum_polar",
@@ -76,7 +75,7 @@ _MIN_WIDTH_IN_SPACINGS = 2.5
 
 # Edge-to-peak ratio a random field's amplitude may reach at the
 # frequency-grid edge (see _check_width): half the 1e-8 that
-# synthesize_solenoidal accepts.
+# _synthesize_solenoidal accepts.
 _RANDOM_EDGE_RATIO = 5e-9
 
 # Zero padding of component_spectrum_polar (see its docstring).
@@ -305,7 +304,7 @@ def _synthesize_half(amplitude: np.ndarray, m: int, grid: CartesianGrid) -> Tens
     return TensorField2D(m=m, grid=grid, components=comps)
 
 
-def synthesize_solenoidal(amplitude: np.ndarray, m: int, grid: CartesianGrid) -> TensorField2D:
+def _synthesize_solenoidal(amplitude: np.ndarray, m: int, grid: CartesianGrid) -> TensorField2D:
     """Build the solenoidal field with spectrum ``a(y) * eta(y)^(tensor m)``.
 
     Parameters
@@ -373,10 +372,10 @@ def _check_width(width: float, grid: CartesianGrid, degree: int | None = None) -
 
     At ``w = 2.5 h`` a Gaussian spectrum of degree ``<= 8`` has fallen below
     ``1e-8`` of its peak at the Nyquist frequency ``pi / h``, the edge level
-    :func:`synthesize_solenoidal` accepts; narrower fields alias, and their
+    :func:`_synthesize_solenoidal` accepts; narrower fields alias, and their
     samples fail the divergence gate.
 
-    A ``degree`` bounds an amplitude that :func:`synthesize_solenoidal`
+    A ``degree`` bounds an amplitude that :func:`_synthesize_solenoidal`
     checks itself, ``(q w)^degree exp(-(q w)^2 / 2)`` at its highest power:
     the width must also be at least :func:`_narrowest_width` for it, so that
     the amplitude is below ``5e-9`` of its peak at the nearest grid edge.
@@ -471,7 +470,7 @@ def gaussian_test_field(m: int, kind: str, grid: CartesianGrid, width: float = 1
     -----
     ``solenoidal``
         Divergence free: ``w^max(m-2,0) (d/dx)^j (-d/dy)^(m-j) G``; for
-        ``m >= 2`` the field :func:`synthesize_solenoidal` builds from
+        ``m >= 2`` the field :func:`_synthesize_solenoidal` builds from
         samples of the amplitude ``i^m (q w)^m exp(-q^2 w^2 / 2)``.
         ``m = 0``: ``G`` (scalar fields are vacuously solenoidal); ``m = 1``:
         ``(-dG/dy, dG/dx)``; ``m = 2``: ``(G_yy, -G_xy, G_xx)``.
@@ -528,7 +527,7 @@ def random_solenoidal_field(
             # realness pairs l with -l; the l = 0 coefficient pairs with itself
             c = 0.5 * (c + (-1.0) ** m * np.conj(c))
         coeffs.append(c)
-    return synthesize_solenoidal(_polynomial_amplitude(coeffs, m, width, grid), m, grid)
+    return _synthesize_solenoidal(_polynomial_amplitude(coeffs, m, width, grid), m, grid)
 
 
 def _polynomial_amplitude(

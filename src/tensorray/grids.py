@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from math import cos, sin
 
 import numpy as np
-from scipy import ndimage
 
-from ._workers import run_round_robin
+from ._workers import run_in_lockstep
 
 __all__ = [
     "CartesianGrid",
@@ -245,6 +244,23 @@ def _quintic_taps(frac: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _refillable_operator(rows: int, taps: int, columns: int):
+    """A ``rows x columns`` CSR operator of ``taps`` entries a row, all zero.
+
+    ``indptr`` is fixed; its owner refills ``data`` and ``indices`` in
+    place, a block at a time.  ``scipy.sparse`` is imported here, at the
+    first call: only the projector and the spectrum sampler use it, and
+    importing it takes 10-12 ms.
+    """
+    from scipy import sparse
+
+    indptr = taps * np.arange(rows + 1, dtype=np.int32)
+    return sparse.csr_array(
+        (np.zeros(indptr[-1]), np.zeros(indptr[-1], dtype=np.int32), indptr),
+        shape=(rows, columns),
+    )
+
+
 def _spline_taps(operator, weights: np.ndarray, start: np.ndarray, stencil: np.ndarray) -> None:
     """Refill ``operator`` with the quintic spline taps of a block of nodes.
 
@@ -268,7 +284,8 @@ def _sample_polar_window(
     ``_PREFILTER_MARGIN`` samples on each side, clipped at the grid edge)
     and samples ``window_values(window)``, the complex grid function on that
     ``(rows, columns)`` slice pair, there.  Nothing is computed before the
-    nodes pass.  The real and imaginary parts are prefiltered as
+    nodes pass, and scipy is imported only after that.  The real and
+    imaginary parts are prefiltered as
     ``map_coordinates(order=5, mode="constant")`` prefilters them, on up to
     two threads, the second pass only over the rows the taps read.  A sparse
     operator then holds, for every node of a block of radii, the 6 x 6
@@ -382,13 +399,13 @@ def _sample_polar_window(
     # the rows any tap reads: only they need the second prefilter pass
     read = slice(min(take[0].min() for take in takes), max(take[0].max() for take in takes) + 1)
 
-    # only the sampler and the projector use scipy.sparse, and importing it
-    # takes 10-12 ms
-    from scipy import sparse
+    # imported here, after every check, rather than with the package:
+    # commands that never sample a spectrum or project do not pay for it
+    from scipy import ndimage
 
     parts = [np.empty(last + 1) for _ in range(2)]
 
-    def prefilter(which: range) -> None:
+    def prefilter(which: range, _barrier) -> None:
         # runs on a worker thread: scipy only.  Both passes run as in
         # map_coordinates' prefilter, x then y, the second only over the rows
         # the taps read, where the coefficients come out the same
@@ -399,7 +416,7 @@ def _sample_polar_window(
             part = parts[k][read]
             ndimage.spline_filter1d(part, order=5, axis=1, mode="constant", output=part)
 
-    run_round_robin(prefilter, 2)
+    run_in_lockstep(prefilter, 2)
     del values
     # either part's coefficients over the box, one column per reflection
     columns = np.empty((box[0], box[1], len(used), 2))
@@ -414,7 +431,7 @@ def _sample_polar_window(
     del frac, position
     pairs = out.view(float).reshape(qs.size, phis.size, 2)
 
-    def sample(which: range, operator) -> None:
+    def sample(which: range, _barrier, operator) -> None:
         # runs on a worker thread: numpy, scipy and _spline_taps only
         for task in which:
             g, b = divmod(task, blocks)
@@ -425,15 +442,9 @@ def _sample_polar_window(
             for j, t in members[g]:
                 pairs[written, j] = samples[: written.stop - written.start, t]
 
-    def new_operator() -> tuple:
-        # every node has 36 taps: indptr is fixed, data and indices refilled
-        indptr = 36 * np.arange(size + 1, dtype=np.int32)
-        return (sparse.csr_array(
-            (np.zeros(indptr[-1]), np.zeros(indptr[-1], dtype=np.int32), indptr),
-            shape=(size, columns.shape[0]),
-        ),)
-
-    run_round_robin(sample, len(groups) * blocks, new_operator)
+    run_in_lockstep(
+        sample, len(groups) * blocks, lambda: (_refillable_operator(size, 36, columns.shape[0]),)
+    )
     return out
 
 

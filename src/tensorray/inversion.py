@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._workers import run_round_robin
+from ._workers import run_in_lockstep
 from .fields import (
     TensorField2D,
     _inverse_half,
@@ -201,7 +201,7 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     Work runs in blocks of a fixed number of radii, so memory stays at one
     block's worth per thread.  The blocks are dealt round-robin to up to
     ``min(CPUs available, 4, blocks)`` threads
-    (:func:`~tensorray._workers.run_round_robin`); each block is computed
+    (:func:`~tensorray._workers.run_in_lockstep`); each block is computed
     the same way on any thread and writes only the points at its radii, so
     the result is byte-identical whatever the thread count.
     """
@@ -272,7 +272,8 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     out = np.zeros(n * width, dtype=complex)
 
     def transform(
-        blocks: range, table_buf: np.ndarray, kernel_buf: np.ndarray, product_buf: np.ndarray
+        blocks: range, _barrier, table_buf: np.ndarray, kernel_buf: np.ndarray,
+        product_buf: np.ndarray,
     ) -> None:
         # fills the points of each block of radii; runs on worker threads, so
         # it calls numpy only (and the private _p_kernel), never a traced
@@ -310,7 +311,7 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
             out[(n - kx[axis]) % n * width] = signs[0] * np.conj(values[axis])
             out[pts] = values
 
-    run_round_robin(transform, bounds.size - 1, scratch)
+    run_in_lockstep(transform, bounds.size - 1, scratch)
     return out.reshape(n, width)
 
 

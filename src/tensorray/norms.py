@@ -57,6 +57,9 @@ __all__ = [
 
 _TAIL_FRACTION = 1e-6
 
+# the exponent the field norm's radial weight adds to the sinogram's, per side
+_RADIAL_EXPONENT_OFFSET = {"field": 1.0, "sinogram": 0.0}
+
 
 class TruncationWarning(UserWarning):
     """Angular or radial truncation carries non-negligible weighted energy."""
@@ -95,24 +98,21 @@ class SobolevParams:
             raise ValueError(f"field norm needs t > -1, got t = {self.t}")
 
 
-def weighted_norm_sq(
-    qs: np.ndarray,
-    coeffs: np.ndarray,
-    params: SobolevParams,
-    radial_exponent_offset: float,
-    warn_context: str | None = None,
-) -> float:
+def weighted_norm_sq(qs: np.ndarray, coeffs: np.ndarray, params: SobolevParams, side: str) -> float:
     """Weighted quadratic form shared by both norms.
 
     ``(1/2pi) * sum_l (1+l^2)^r * sum_k dq * |q|^(2t + offset) (1+q^2)^(s-t) |c_lk|^2``;
-    ``offset`` is 0 for sinograms and 1 for fields.
+    ``offset`` is 0 on the ``"sinogram"`` side and 1 on the ``"field"`` side.
     Raises ``ValueError`` naming ``(r, s, t)`` when the weighted sum
     overflows the float range (``(1+l^2)^r`` does from ``r ~ 86`` at
-    ``l = 63``).  When ``warn_context`` is given, emits
-    :class:`TruncationWarning` if the top-quarter harmonics or the outer 5%
-    of radial nodes carry more than ``1e-6`` of the total weighted energy;
-    the message gives the share it measured.
+    ``l = 63``).  Emits :class:`TruncationWarning`, naming the side's norm,
+    if the top-quarter harmonics or the outer 5% of radial nodes carry more
+    than ``1e-6`` of the total weighted energy; the message gives the share
+    it measured.
     """
+    if side not in _RADIAL_EXPONENT_OFFSET:
+        raise ValueError(f"side must be 'field' or 'sinogram', got {side!r}")
+    offset = _RADIAL_EXPONENT_OFFSET[side]
     qs = np.asarray(qs, dtype=float)
     coeffs = np.asarray(coeffs)
     if qs.ndim != 1 or qs.size < 2:
@@ -126,9 +126,7 @@ def weighted_norm_sq(
     lmax = (coeffs.shape[0] - 1) // 2
     ls = np.arange(-lmax, lmax + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        radial = np.abs(qs) ** (2.0 * params.t + radial_exponent_offset) * (1.0 + qs**2) ** (
-            params.s - params.t
-        )
+        radial = np.abs(qs) ** (2.0 * params.t + offset) * (1.0 + qs**2) ** (params.s - params.t)
         angular = (1.0 + ls.astype(float) ** 2) ** params.r
         cells = angular[:, None] * radial[None, :] * np.abs(coeffs) ** 2 * dq
         total = float(cells.sum())
@@ -138,7 +136,7 @@ def weighted_norm_sq(
             "the Sobolev weights exceed the float range at these nodes"
         )
 
-    if warn_context is not None and total > 0.0:
+    if total > 0.0:
         top_l = np.abs(ls) > 0.75 * lmax
         outer_q = np.argsort(np.abs(qs))[-max(1, qs.size // 20):]
         tails = (
@@ -150,7 +148,7 @@ def weighted_norm_sq(
         for energy, where, advice in tails:
             if energy > _TAIL_FRACTION * total:
                 warnings.warn(
-                    f"{warn_context}: {where} carry {energy / total:.2g} of the weighted "
+                    f"{side} norm: {where} carry {energy / total:.2g} of the weighted "
                     f"energy, more than {_TAIL_FRACTION:g}; {advice}",
                     TruncationWarning,
                     stacklevel=3,
@@ -176,7 +174,7 @@ def sinogram_norm(
     pgrid = PolarFrequencyGrid(nq=nq, qmax=psi.pmax if qmax is None else qmax, ntheta=psi.ntheta)
     qs = pgrid.radial_nodes()
     coeffs = _tilde_table(_sinogram_side(psi, pgrid), psi.m)
-    norm_sq = weighted_norm_sq(qs, coeffs, params, 0.0, warn_context="sinogram norm")
+    norm_sq = weighted_norm_sq(qs, coeffs, params, "sinogram")
     return float(scale * np.sqrt(norm_sq))
 
 
@@ -196,7 +194,7 @@ def field_norm(
     params.require_field_admissible()
     pgrid = PolarFrequencyGrid(nq=nq, qmax=f.grid.radius if qmax is None else qmax, ntheta=ntheta)
     coeffs = angular_coefficient_matrix(_field_side(f, pgrid), ntheta // 2 - 1).T
-    norm_sq = weighted_norm_sq(pgrid.radial_nodes(), coeffs, params, 1.0, warn_context="field norm")
+    norm_sq = weighted_norm_sq(pgrid.radial_nodes(), coeffs, params, "field")
     return float(np.sqrt(norm_sq))
 
 
@@ -249,11 +247,9 @@ def reshetnyak_ratios(
 
     ratios = []
     for params in params_list:
-        field_sq = weighted_norm_sq(pair.qs, f_coeffs, params, 1.0, warn_context="field norm")
+        field_sq = weighted_norm_sq(pair.qs, f_coeffs, params, "field")
         if field_sq == 0.0:
             raise ValueError("field norm vanishes; the isometry ratio is undefined")
-        sino_sq = weighted_norm_sq(
-            pair.qs, s_coeffs, params.shifted(), 0.0, warn_context="sinogram norm"
-        )
+        sino_sq = weighted_norm_sq(pair.qs, s_coeffs, params.shifted(), "sinogram")
         ratios.append(float(scale * np.sqrt(sino_sq / field_sq)))
     return ratios

@@ -43,7 +43,8 @@ row.  At ``ntheta = 128`` that is 17 operators for 64 angles: ``0`` groups
 with ``pi/2`` and ``pi/4`` with ``3pi/4``.  With ``ntheta % 4 != 0`` only
 ``pi - theta`` is on the angle grid, and ``ntheta = 90`` fills 23 operators
 for 45 angles.
-``scipy.sparse`` is imported at the first call, not with the module.
+``scipy.ndimage`` and ``scipy.sparse`` are imported at the first call, not
+with the module.
 
 At desk scale (n = 256, R = 8) each angle samples 256 columns, where a
 step of ``h/2`` along the line would sample 512-724.  Against the same
@@ -83,11 +84,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import _workers
 from .fields import TensorField2D, tensor_weights
-from .grids import _angle_groups, _check_integer
+from .grids import _angle_groups, _check_integer, _refillable_operator
 
 __all__ = ["Sinogram", "forward", "parity_residual"]
 
@@ -262,8 +262,8 @@ def forward(
     64 angles below ``pi``.  Those ``ntheta // 2`` angles are projected; the
     rest are their mirror ``(-1)^m psi(-p, theta)``, so the output
     satisfies the parity exactly.  Every argument is validated before any
-    prefilter or projection.  ``scipy.sparse`` is imported at the first
-    call.
+    prefilter or projection, and before ``scipy.ndimage`` and
+    ``scipy.sparse`` are imported at the first call.
 
     The prefilter and the blocks of lines are split over up to
     ``min(CPUs available, 4)`` threads.  They share each group's rows (four
@@ -294,8 +294,9 @@ def forward(
     if ntheta < 2 or ntheta % 2 != 0:
         raise ValueError(f"ntheta must be even and >= 2, got {ntheta}")
 
-    # only the projector uses scipy.sparse, and importing it takes 10-12 ms
-    from scipy import sparse
+    # imported here, after every check, rather than with the package:
+    # commands that never project do not pay for it
+    from scipy import ndimage
 
     ps = _p_axis(pmax, num_p)
     h = grid.spacing
@@ -415,13 +416,8 @@ def forward(
     operators = []
 
     def new_operator() -> tuple:
-        # every line has n + 1 columns: indptr is fixed, data and indices
-        # refilled
-        indptr = (n + 1) * np.arange(4 * lines + 1, dtype=np.int32)
-        operators.append(sparse.csr_array(
-            (np.zeros(indptr[-1]), np.zeros(indptr[-1], dtype=np.int32), indptr),
-            shape=(4 * lines, (n + 1) * width),
-        ))
+        # a row per tap and line, one entry per column
+        operators.append(_refillable_operator(4 * lines, n + 1, (n + 1) * width))
         return (operators[-1],)
 
     _workers.run_in_lockstep(project, blocks, new_operator)

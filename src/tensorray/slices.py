@@ -23,7 +23,7 @@ on angular Fourier coefficients it acts as the banded stencil
 
     (tilde psi)_l = (2i)^(-m) * sum_k (-1)^k C(m, k) psi_{l-m+2k}
 
-which :func:`tilde_coefficients` implements.  Multiplying by ``sin^m(theta)``
+which :func:`_tilde_coefficients` implements.  Multiplying by ``sin^m(theta)``
 commutes with the transform in ``p``.
 """
 
@@ -41,7 +41,6 @@ from .ray import Sinogram, _offset_weights, forward
 __all__ = [
     "CONVENTIONS",
     "sinogram_transform_values",
-    "tilde_coefficients",
     "fst_scalar_residual",
     "fst_solenoidal_residual",
     "fst_coefficient_residual",
@@ -141,7 +140,7 @@ def sinogram_transform_values(psi: Sinogram, qs: np.ndarray) -> np.ndarray:
     return out
 
 
-def tilde_coefficients(coefficients: np.ndarray, m: int) -> np.ndarray:
+def _tilde_coefficients(coefficients: np.ndarray, m: int) -> np.ndarray:
     """Angular coefficients of ``sin^m(theta)`` times the underlying function.
 
     ``coefficients`` is indexed ``l = -lmax .. lmax`` along the first axis;
@@ -175,7 +174,7 @@ def _tilde_table(psihat: np.ndarray, power: int) -> np.ndarray:
     so the result covers ``|l| <= ntheta//2 - 1 - power``.
     """
     lmax = psihat.shape[1] // 2 - 1
-    return tilde_coefficients(angular_coefficient_matrix(psihat, lmax).T, power)
+    return _tilde_coefficients(angular_coefficient_matrix(psihat, lmax).T, power)
 
 
 def sup_relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:

@@ -28,10 +28,9 @@ from tensorray import (
     relative_l2_error,
     reshetnyak_ratios,
     solenoidal_project,
-    tilde_coefficients,
 )
 from tensorray.grids import CartesianGrid, angular_coefficient_matrix
-from tensorray.slices import sinogram_transform_values
+from tensorray.slices import _tilde_coefficients, sinogram_transform_values
 
 N, RADIUS, NUM_P, NTHETA, NQ, QMAX = 256, 8.0, 257, 128, 512, 8.0
 
@@ -261,7 +260,7 @@ class TestCriterion10TildeAlgebra:
                 profile = np.exp(-(ps**2) / 2.0) * ps ** (l % 3)
                 samples += np.real(c * np.exp(1j * l * thetas))[None, :] * profile[:, None]
             coeffs = angular_coefficient_matrix(samples, lmax).T
-            route_a = tilde_coefficients(coeffs, m)
+            route_a = _tilde_coefficients(coeffs, m)
             pointwise = samples * np.sin(thetas)[None, :] ** m
             route_b = angular_coefficient_matrix(pointwise, lmax - m).T
             scale = max(np.abs(route_b).max(), 1.0)

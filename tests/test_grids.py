@@ -14,9 +14,9 @@ from tensorray import (
     field_norm,
     fourier_transform_2d,
     polar_sample,
-    tilde_coefficients,
 )
 from tensorray.grids import angular_coefficient_matrix
+from tensorray.slices import _tilde_coefficients
 
 
 def gaussian(grid, width=1.0):
@@ -225,8 +225,8 @@ class TestIntegerCountsAndRanks:
             (lambda: Sinogram(m=np.True_, pmax=8.0, samples=np.zeros((9, 8))), "tensor rank m"),
             (lambda: check_moment_conditions(ZERO_SINOGRAM, rmax=2.5), "rmax"),
             (lambda: check_moment_conditions(ZERO_SINOGRAM, rmax=True), "rmax"),
-            (lambda: tilde_coefficients(np.ones((7, 3)), 1.0), "m"),
-            (lambda: tilde_coefficients(np.ones((7, 3)), True), "m"),
+            (lambda: _tilde_coefficients(np.ones((7, 3)), 1.0), "m"),
+            (lambda: _tilde_coefficients(np.ones((7, 3)), True), "m"),
         ],
         ids=["grid-n-float", "grid-n-np-float", "polar-nq-fraction", "polar-ntheta-float",
              "field-norm-nq", "field-m-bool", "sinogram-m-fraction", "sinogram-m-np-bool",
@@ -239,7 +239,7 @@ class TestIntegerCountsAndRanks:
     def test_negative_tilde_rank_rejected(self):
         # the stencil would otherwise return a wider table of zeros
         with pytest.raises(ValueError, match="0 <= m <= lmax"):
-            tilde_coefficients(np.ones((7, 3)), -1)
+            _tilde_coefficients(np.ones((7, 3)), -1)
 
     def test_numpy_integers_accepted(self):
         grid = CartesianGrid(n=np.int64(64), radius=8.0)

@@ -14,7 +14,7 @@ spline, so it anchors ``forward`` above rank 0.  So does quarter-turn
 equivariance: a field turned by ``R`` on its grid, with the tensor sign rule
 ``(Rf)_j = (-1)^(m-j) f_(m-j)(R^T x)``, has the sinogram shifted by
 ``ntheta/4`` columns.  The spectral routes the
-generator used to take (:func:`synthesize_solenoidal` of the documented
+generator used to take (:func:`_synthesize_solenoidal` of the documented
 amplitude's samples, and the symmetrized gradient of the rank ``m-1``
 generic field from the test-side ``references`` module) are kept here as
 references for the tables.  The random solenoidal field keeps its spectral
@@ -44,9 +44,9 @@ from tensorray import (
     random_solenoidal_field,
     sinogram_norm,
     slice_pair,
-    synthesize_solenoidal,
 )
 from tensorray.fields import (
+    _synthesize_solenoidal,
     _potential_table,
     _sample_table,
     _solenoidal_table,
@@ -140,7 +140,7 @@ class TestSpectralReferences:
             q = np.hypot(qx, qy)
             return (1j**m) * (q * width) ** m * np.exp(-((q * width) ** 2) / 2.0)
 
-        ref = synthesize_solenoidal(amplitude(*grid256.dual().mesh()), m, grid256).components
+        ref = _synthesize_solenoidal(amplitude(*grid256.dual().mesh()), m, grid256).components
         got = gaussian_test_field(m, "solenoidal", grid256, width=width).components
         assert relative_gap(got, ref) < 1e-9
 

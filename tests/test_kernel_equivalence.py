@@ -33,7 +33,6 @@ from tensorray import (
     invert,
     invert_coefficient_route,
     solenoidal_project,
-    synthesize_solenoidal,
     PolarFrequencyGrid,
     Sinogram,
     TensorField2D,
@@ -46,7 +45,7 @@ from tensorray import (
     relative_divergence_residual,
 )
 from tensorray import fields, grids, inversion
-from tensorray.fields import tensor_weights
+from tensorray.fields import _synthesize_solenoidal, tensor_weights
 from tensorray.grids import fourier_transform_2d
 from tensorray.inversion import _quarter_turn_series
 from tensorray.slices import _p_kernel, _tilde_table, sinogram_transform_values
@@ -637,7 +636,7 @@ class TestRealTransformKernels:
         cases = [(_noise_amplitude(m, grid64, seed=s), grid64) for s in range(3)]
         cases += [(_gaussian_amplitude(m, grid128, w), grid128) for w in (0.8, 1.0)]
         for amp, grid in cases:
-            got = synthesize_solenoidal(amp, m, grid).components
+            got = _synthesize_solenoidal(amp, m, grid).components
             assert relative_gap(got, reference_synthesize(amp, m, grid)) < self.TOL
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -715,10 +714,10 @@ def reference_random_amplitude(m, seed, width):
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_random_field_matches_the_angle_closure(m, width, grid256):
     # the polynomial in Z = w (qx + i qy) against the per-harmonic angle
-    # form, both through synthesize_solenoidal: measured <= 6.9e-16 of the peak
+    # form, both through _synthesize_solenoidal: measured <= 6.9e-16 of the peak
     for seed in (7, 13):
         amplitude = reference_random_amplitude(m, seed, width)(*grid256.dual().mesh())
-        ref = synthesize_solenoidal(amplitude, m, grid256).components
+        ref = _synthesize_solenoidal(amplitude, m, grid256).components
         got = random_solenoidal_field(m, grid256, seed=seed, width=width).components
         assert relative_gap(got, ref) < 1e-15
 

@@ -21,7 +21,7 @@ from tensorray import (
 )
 from tensorray.grids import angular_coefficient_matrix
 from tensorray.norms import weighted_norm_sq
-from tensorray.slices import sinogram_transform_values, tilde_coefficients
+from tensorray.slices import _tilde_coefficients, sinogram_transform_values
 
 
 def gaussian_sinogram(num_p=257, ntheta=32, pmax=8.0):
@@ -338,7 +338,7 @@ class TestTruncationWarnings:
             coeffs[4, -1] = 1.0  # the outermost node, the outer 5% of 20
             match = r"radial nodes carry 0\.2 of .*increase qmax"
         with pytest.warns(TruncationWarning, match=match) as record:
-            weighted_norm_sq(qs, coeffs, SobolevParams(0, 0, 0), 0.0, warn_context="test")
+            weighted_norm_sq(qs, coeffs, SobolevParams(0, 0, 0), "sinogram")
         assert len(record) == 1
 
     def test_resolved_norm_does_not_warn(self, grid128):
@@ -373,7 +373,9 @@ class TestFactorOfTwoBookkeeping:
         qs = (np.arange(2 * nq) + 0.5 - nq) * (qmax / nq)
         values = sinogram_transform_values(psi, qs)
         coeffs = angular_coefficient_matrix(values, psi.ntheta // 2 - 1).T
-        return weighted_norm_sq(qs, tilde_coefficients(coeffs, psi.m), params, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            return weighted_norm_sq(qs, _tilde_coefficients(coeffs, psi.m), params, "sinogram")
 
     def test_full_line_integral_is_twice_positive_half(self, grid128):
         # conjugate symmetry of the p-transform makes the weighted integrand
@@ -401,12 +403,17 @@ class TestFactorOfTwoBookkeeping:
 class TestWeightedNormValidation:
     def test_single_radial_node_rejected(self):
         with pytest.raises(ValueError, match="at least 2 radial nodes"):
-            weighted_norm_sq(np.array([0.5]), np.ones((3, 1)), SobolevParams(0.0, 0.5, 0.5), 0.0)
+            weighted_norm_sq(np.array([0.5]), np.ones((3, 1)), SobolevParams(0.0, 0.5, 0.5), "field")
 
     def test_coefficient_count_must_match_nodes(self):
         qs = np.linspace(0.1, 4.0, 8)
         with pytest.raises(ValueError, match="match the radial nodes"):
-            weighted_norm_sq(qs, np.ones((3, 7)), SobolevParams(0.0, 0.5, 0.5), 0.0)
+            weighted_norm_sq(qs, np.ones((3, 7)), SobolevParams(0.0, 0.5, 0.5), "field")
+
+    def test_unknown_side_rejected(self):
+        qs = np.linspace(0.1, 4.0, 8)
+        with pytest.raises(ValueError, match="side must be 'field' or 'sinogram'"):
+            weighted_norm_sq(qs, np.ones((3, 8)), SobolevParams(0.0, 0.5, 0.5), 1.0)
 
     @pytest.mark.parametrize("params", [
         SobolevParams(200.0, 0.0, 0.0), SobolevParams(0.0, 300.0, 0.0), SobolevParams(0.0, 0.0, 300.0),
@@ -415,4 +422,4 @@ class TestWeightedNormValidation:
         # (1+63^2)^200 and (1+q^2)^300 exceed the float range; the sum would be inf or nan
         qs = (np.arange(64) + 0.5) * 8.0 / 64
         with pytest.raises(ValueError, match=r"overflows at \(r, s, t\)"):
-            weighted_norm_sq(qs, np.ones((127, 64)), params, 1.0)
+            weighted_norm_sq(qs, np.ones((127, 64)), params, "field")

@@ -121,7 +121,7 @@ class TestForward:
         def no_projection(*args, **kw):
             raise AssertionError("forward projected before validating")
 
-        monkeypatch.setattr("tensorray.ray.ndimage.spline_filter1d", no_projection)
+        monkeypatch.setattr("scipy.ndimage.spline_filter1d", no_projection)
         monkeypatch.setattr("tensorray.ray._node_taps", no_projection)
         with pytest.raises(ValueError, match=match):
             forward(gaussian_test_field(0, "generic", grid64), **kwargs)
@@ -153,7 +153,7 @@ class TestForward:
             raise AssertionError("forward prefiltered or projected before validating")
 
         monkeypatch.setattr("tensorray.ray._node_taps", no_work)
-        monkeypatch.setattr("tensorray.ray.ndimage.spline_filter1d", no_work)
+        monkeypatch.setattr("scipy.ndimage.spline_filter1d", no_work)
         with pytest.raises(ValueError, match=match):
             forward(gaussian_test_field(0, "generic", grid64), **kwargs)
 

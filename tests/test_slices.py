@@ -14,10 +14,9 @@ from tensorray import (
     measure_slice_constant,
     random_solenoidal_field,
     slice_pair,
-    tilde_coefficients,
 )
 from tensorray.grids import angular_coefficient_matrix
-from tensorray.slices import sinogram_transform_values
+from tensorray.slices import _tilde_coefficients, sinogram_transform_values
 
 
 def gaussian_sinogram(num_p=129, ntheta=32, pmax=8.0):
@@ -84,14 +83,14 @@ class TestTildeCoefficients:
     def test_m0_identity(self):
         rng = np.random.default_rng(0)
         coeffs = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
-        out = tilde_coefficients(coeffs, 0)
+        out = _tilde_coefficients(coeffs, 0)
         assert np.array_equal(out, coeffs)
 
     def test_m1_delta(self):
         # sin(theta) = e^{i theta}/(2i) - e^{-i theta}/(2i)
         coeffs = np.zeros(11, dtype=complex)
         coeffs[5] = 1.0  # l = 0
-        out = tilde_coefficients(coeffs, 1)
+        out = _tilde_coefficients(coeffs, 1)
         lmax_out = 4
         assert out[lmax_out + 1] == pytest.approx(1.0 / 2.0j)
         assert out[lmax_out - 1] == pytest.approx(-1.0 / 2.0j)
@@ -103,7 +102,7 @@ class TestTildeCoefficients:
         # sin^2(theta) = 1/2 - (e^{2i theta} + e^{-2i theta})/4
         coeffs = np.zeros(11, dtype=complex)
         coeffs[5] = 1.0
-        out = tilde_coefficients(coeffs, 2)
+        out = _tilde_coefficients(coeffs, 2)
         lmax_out = 3
         assert out[lmax_out] == pytest.approx(0.5)
         assert out[lmax_out + 2] == pytest.approx(-0.25)
@@ -117,14 +116,14 @@ class TestTildeCoefficients:
         thetas = psi.theta_axis()
         lmax = psi.ntheta // 2 - 1
         coeffs = angular_coefficient_matrix(psi.samples, lmax)
-        route_a = tilde_coefficients(coeffs.T, m).T
+        route_a = _tilde_coefficients(coeffs.T, m).T
         pointwise = psi.samples * np.sin(thetas)[None, :] ** m
         route_b = angular_coefficient_matrix(pointwise, lmax - m)
         assert np.abs(route_a - route_b).max() < 1e-10
 
     def test_insufficient_lmax_rejected(self):
         with pytest.raises(ValueError, match="lmax"):
-            tilde_coefficients(np.zeros(3, dtype=complex), 2)
+            _tilde_coefficients(np.zeros(3, dtype=complex), 2)
 
     def test_tilde_commutes_with_p_transform(self):
         # tilde then transform vs transform then tilde
@@ -133,7 +132,7 @@ class TestTildeCoefficients:
         qs = symmetric_nodes(32, 6.0)
         m = 2
         lmax = psi.ntheta // 2 - 1
-        route_a = tilde_coefficients(spectral_coefficients(psi, qs, lmax), m)
+        route_a = _tilde_coefficients(spectral_coefficients(psi, qs, lmax), m)
         tilded = Sinogram(
             m=psi.m, pmax=psi.pmax,
             samples=psi.samples * np.sin(psi.theta_axis())[None, :] ** m,

@@ -2,9 +2,10 @@
 
 The spectrum sampler runs its two prefilters and its blocks of nodes, and
 the inversion series its blocks of radii, through
-``_workers.run_round_robin``; the projector's blocks of lines, which run in
-lockstep, are covered in ``test_ray.py``.  Every output must be
-byte-identical for 1, 2, 3 and 4 workers, whatever the CPU count of the host.
+``_workers.run_in_lockstep`` without waiting at its barrier; the projector's
+blocks of lines, which wait there, are covered in ``test_ray.py``.  Every
+output must be byte-identical for 1, 2, 3 and 4 workers, whatever the CPU
+count of the host.
 """
 
 import sys
@@ -58,10 +59,10 @@ class TestRoundRobin:
             made.append(threading.current_thread())
             return (len(made),)
 
-        def work(chunk, label):
+        def work(chunk, _barrier, label):
             done.extend((task, label) for task in chunk)
 
-        _workers.run_round_robin(work, tasks, buffers)
+        _workers.run_in_lockstep(work, tasks, buffers)
         assert sorted(task for task, _ in done) == list(range(tasks))
         # buffers are made on the calling thread, one set per worker, and
         # task t runs on chunk t % workers with that chunk's set
@@ -74,14 +75,14 @@ class TestRoundRobin:
         error = RuntimeError("failed on a worker")
         finished = []
 
-        def work(chunk):
+        def work(chunk, _barrier):
             if threading.current_thread() is not caller and chunk.start == 1:
                 raise error
             finished.append(chunk.start)
 
         before = threading.active_count()
         with pytest.raises(RuntimeError) as excinfo:
-            _workers.run_round_robin(work, 6)
+            _workers.run_in_lockstep(work, 6)
         assert excinfo.value is error
         assert sorted(finished) == [0, 2]
         assert threading.active_count() == before
