@@ -1,9 +1,10 @@
 """Run a kernel's independent tasks on the available cores.
 
-The projector's blocks of lines, the spectrum sampler's two prefilters (real
-and imaginary part) and its blocks of nodes, and the inversion series'
-radius blocks do not depend on each other, and the numpy and scipy calls
-that do their work release the GIL.
+The projector's blocks of lines and the inversion series' radius blocks do
+not depend on each other, and the numpy and scipy calls that do their work
+release the GIL.  (The polar spectrum sampler runs on the calling thread:
+its fills are many small numpy calls that hold the GIL, and a second thread
+made it slower.)
 Each is split here over up to ``min(CPUs available, 4, tasks)`` threads by
 :func:`run_in_lockstep`: task ``k`` goes to thread ``k % workers``, the
 calling thread included.
@@ -30,8 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 # at most this many threads run a call's tasks: each holds its own working
 # buffers (0.8 MB per projector thread at desk scale: one sparse operator
-# for a block of lines; the angle group's rows, 2.1 MB, are shared; 0.2 MB
-# per spectrum sampler thread: one sparse operator for a block of nodes)
+# for a block of lines; the angle group's rows, 2.1 MB, are shared)
 _MAX_WORKERS = 4
 
 

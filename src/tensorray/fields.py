@@ -592,9 +592,8 @@ def component_spectrum_polar(
     other through the frequency origin, and where the window lies inside
     the padded grid they share one fill of the spline operator: 17 fills
     for the 64 angles the slice checks sample at ``ntheta = 128``.  Any
-    other offset fills one per angle.  The prefilters of the window's real
-    and imaginary parts run on up to two threads and the operator's blocks
-    on up to four; the samples are byte-identical for any thread count.
+    other offset fills one per angle.  The sampler runs on the calling
+    thread.
     """
     # oversample is kept only because the benchmark tracer reads it by name
     if oversample != _PAD:

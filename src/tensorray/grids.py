@@ -16,9 +16,10 @@ This module is the numerical substrate for everything else in the package:
 * :func:`polar_sample` — quintic-spline samples of a grid-sampled spectrum
   at polar frequency nodes: the coefficients ``map_coordinates(order=5)``
   would prefilter, read by a sparse operator of the nodes' 6 x 6 B-spline
-  weights.  It assumes the spectrum has decayed well inside the grid, since
-  the spline's boundary error falls off only geometrically with the
-  distance from the edge.
+  weights, refilled once per group of angles on the calling thread.  It
+  assumes the spectrum has decayed well inside the grid, since the spline's
+  boundary error falls off only geometrically with the distance from the
+  edge.
 
 All functions are pure; arrays are never modified in place.
 """
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 from math import cos, sin
 
 import numpy as np
-
-from ._workers import run_in_lockstep
 
 __all__ = [
     "CartesianGrid",
@@ -177,10 +176,6 @@ def angular_coefficient_matrix(samples: np.ndarray, lmax: int) -> np.ndarray:
 # tap t of a position with floor f reads the coefficient f - 2 + t
 _TAPS = np.arange(6)
 
-# polar nodes in one block, at most: a thread's operator holds 36 weights
-# and indices per node of a block, 221 kB at most
-_BLOCK_NODES = 512
-
 
 def _angle_groups(ntheta: int) -> list[tuple[int, ...]]:
     """The angles ``j < ntheta // 2`` of ``2 pi j / ntheta``, grouped by the quarter-turn symmetry.
@@ -262,7 +257,7 @@ def _refillable_operator(rows: int, taps: int, columns: int):
 
 
 def _spline_taps(operator, weights: np.ndarray, start: np.ndarray, stencil: np.ndarray) -> None:
-    """Refill ``operator`` with the quintic spline taps of a block of nodes.
+    """Refill ``operator`` with the quintic spline taps of one angle's nodes.
 
     ``weights[:, a, i]`` are node ``i``'s six B-spline weights along axis
     ``a`` and ``start[i]`` the flat index of its first tap in the
@@ -275,22 +270,31 @@ def _spline_taps(operator, weights: np.ndarray, start: np.ndarray, stencil: np.n
     np.add(start[:, None], stencil, out=operator.indices.reshape(size, 36))
 
 
+def _nodes(values, what: str) -> np.ndarray:
+    """``values`` as a 1-D float array, after checking it is 0-D or 1-D and finite."""
+    nodes = np.atleast_1d(np.asarray(values, dtype=float))
+    if nodes.ndim > 1:
+        raise ValueError(f"{what} must be 0-D or 1-D, got shape {nodes.shape}")
+    _check_finite(nodes, what)
+    return nodes
+
+
 def _sample_polar_window(
     grid: CartesianGrid, qs, phis, window_values, groups: list[tuple[int, ...]] | None = None
 ) -> np.ndarray:
     """Quintic splines at the polar nodes over the index window they reach.
 
-    Validates the nodes, finds the window (their reach widened by
-    ``_PREFILTER_MARGIN`` samples on each side, clipped at the grid edge)
-    and samples ``window_values(window)``, the complex grid function on that
-    ``(rows, columns)`` slice pair, there.  Nothing is computed before the
-    nodes pass, and scipy is imported only after that.  The real and
-    imaginary parts are prefiltered as
-    ``map_coordinates(order=5, mode="constant")`` prefilters them, on up to
-    two threads, the second pass only over the rows the taps read.  A sparse
-    operator then holds, for every node of a block of radii, the 6 x 6
-    B-spline weights of its position and the flat indices of their taps,
-    and ``operator @ coefficients`` sums them.  A tap past the grid's edge
+    Validates the nodes (0-D or 1-D, finite, within the grid), finds the
+    window (their reach widened by ``_PREFILTER_MARGIN`` samples on each
+    side, clipped at the grid edge) and samples ``window_values(window)``,
+    the complex grid function on that ``(rows, columns)`` slice pair,
+    there.  Nothing is computed before the nodes pass, and scipy is
+    imported only after that.  The real and imaginary parts are prefiltered
+    in turn as ``map_coordinates(order=5, mode="constant")`` prefilters
+    them, the second pass only over the rows the taps read.  A sparse
+    operator then holds, for every radius at one angle, the 6 x 6 B-spline
+    weights of its position and the flat indices of their taps, and
+    ``operator @ coefficients`` sums them.  A tap past the grid's edge
     reads the coefficient mirrored about it, and a node off the grid keeps
     zero weights and reads zero, both as in ``mode="constant"``.  Positions
     are measured from the centre sample (frequency 0) and so rounded at
@@ -305,14 +309,9 @@ def _sample_polar_window(
     per reflection and part.  That holds only where the window lies inside
     the grid with its whole margin, so that its coefficients do not depend
     on an edge; otherwise, and without ``groups``, each angle is its own
-    group.  The blocks run on up to four threads, each with its own
-    operator, and write their own samples: the output is byte-identical for
-    any thread count.
+    group.  One operator is refilled once per group, on the calling thread.
     """
-    qs = np.atleast_1d(np.asarray(qs, dtype=float))
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    _check_finite(qs, "radial nodes qs")
-    _check_finite(phis, "angular nodes phis")
+    qs, phis = _nodes(qs, "radial nodes qs"), _nodes(phis, "angular nodes phis")
     reach = np.abs(qs).max(initial=0.0)
     if reach > grid.radius + 1e-12:
         raise ValueError(
@@ -340,16 +339,12 @@ def _sample_polar_window(
     last = np.array([w.stop - w.start - 1 for w in window])  # the window's last index
     centre = np.array([half - w.start for w in window])  # the centre's index in the window
 
-    # every group's first angle at its radii, in blocks of equal size (the
-    # last block repeats the last radius).  A node is on the grid where its
-    # offsets lie in [-n/2, n/2 - 1]; off it, its weights are zero and its
-    # position is clipped into the window
-    blocks = -(-qs.size // _BLOCK_NODES)
-    size = -(-qs.size // blocks)
-    radial = qs[np.minimum(np.arange(blocks * size), qs.size - 1)]
-    position = np.empty((2, len(groups), blocks * size))
+    # every group's first angle at its radii.  A node is on the grid where
+    # its offsets lie in [-n/2, n/2 - 1]; off it, its weights are zero and
+    # its position is clipped into the window
+    position = np.empty((2, len(groups), qs.size))
     for axis, trig in enumerate((np.cos, np.sin)):
-        np.multiply.outer(trig(phis[[group[0] for group in groups]]), radial, out=position[axis])
+        np.multiply.outer(trig(phis[[group[0] for group in groups]]), qs, out=position[axis])
         position[axis] /= grid.spacing
     on_grid = ((position >= -half) & (position <= half - 1)).all(axis=0)
     np.clip(position, -centre[:, None, None], (last - centre)[:, None, None], out=position)
@@ -403,20 +398,16 @@ def _sample_polar_window(
     # commands that never sample a spectrum or project do not pay for it
     from scipy import ndimage
 
+    # each part prefiltered as map_coordinates prefilters it, x then y, the
+    # second pass only over the rows the taps read, where the coefficients
+    # come out the same
     parts = [np.empty(last + 1) for _ in range(2)]
-
-    def prefilter(which: range, _barrier) -> None:
-        # runs on a worker thread: scipy only.  Both passes run as in
-        # map_coordinates' prefilter, x then y, the second only over the rows
-        # the taps read, where the coefficients come out the same
-        for k in which:
-            ndimage.spline_filter1d(
-                values.imag if k else values.real, order=5, axis=0, mode="constant", output=parts[k]
-            )
-            part = parts[k][read]
-            ndimage.spline_filter1d(part, order=5, axis=1, mode="constant", output=part)
-
-    run_in_lockstep(prefilter, 2)
+    for k, part in enumerate(parts):
+        ndimage.spline_filter1d(
+            values.imag if k else values.real, order=5, axis=0, mode="constant", output=part
+        )
+        rows = part[read]
+        ndimage.spline_filter1d(rows, order=5, axis=1, mode="constant", output=rows)
     del values
     # either part's coefficients over the box, one column per reflection
     columns = np.empty((box[0], box[1], len(used), 2))
@@ -430,21 +421,12 @@ def _sample_polar_window(
     weights *= on_grid
     del frac, position
     pairs = out.view(float).reshape(qs.size, phis.size, 2)
-
-    def sample(which: range, _barrier, operator) -> None:
-        # runs on a worker thread: numpy, scipy and _spline_taps only
-        for task in which:
-            g, b = divmod(task, blocks)
-            block = slice(b * size, (b + 1) * size)
-            _spline_taps(operator, weights[:, :, g, block], start[g, block], stencil)
-            samples = (operator @ columns).reshape(size, len(used), 2)
-            written = slice(b * size, min((b + 1) * size, qs.size))
-            for j, t in members[g]:
-                pairs[written, j] = samples[: written.stop - written.start, t]
-
-    run_in_lockstep(
-        sample, len(groups) * blocks, lambda: (_refillable_operator(size, 36, columns.shape[0]),)
-    )
+    operator = _refillable_operator(qs.size, 36, columns.shape[0])
+    for g, group in enumerate(members):
+        _spline_taps(operator, weights[:, :, g], start[g], stencil)
+        samples = (operator @ columns).reshape(qs.size, len(used), 2)
+        for j, t in group:
+            pairs[:, j] = samples[:, t]
     return out
 
 
@@ -453,10 +435,10 @@ def polar_sample(
 ) -> np.ndarray:
     """Quintic-spline samples of a grid function at ``(q_k cos(phi_j), q_k sin(phi_j))``.
 
-    ``qs`` and ``phis`` broadcast against each other as ``(nq, 1)`` x
-    ``(ntheta,)``; the result is complex with shape ``(nq, ntheta)``.
-    Non-finite nodes and radii ``|q|`` beyond the grid extent raise, the
-    latter naming the Nyquist-limited usable radius.
+    ``qs`` and ``phis`` are 0-D or 1-D; the result is complex with shape
+    ``(qs.size, phis.size)``, one row per radius.  Nodes of more dimensions,
+    non-finite nodes and radii ``|q|`` beyond the grid extent raise before
+    anything is computed, the last naming the Nyquist-limited usable radius.
 
     Real and imaginary parts are interpolated separately by order-5 splines,
     whose error scales like the sixth power of the grid spacing for smooth
@@ -474,10 +456,8 @@ def polar_sample(
     Each part is prefiltered as ``map_coordinates(order=5,
     mode="constant")`` prefilters it, and every node's sample is the sum of
     its 36 B-spline weights times the coefficients they tap, taken by a
-    sparse operator filled a block of nodes at a time; the samples match
-    ``map_coordinates`` to rounding.  The two prefilters run on up to two
-    threads and the blocks on up to four; the samples do not depend on the
-    thread count.
+    sparse operator filled one angle at a time; the samples match
+    ``map_coordinates`` to rounding.  Everything runs on the calling thread.
     """
     values = np.asarray(values, dtype=complex)
     return _sample_polar_window(grid, qs, phis, values.__getitem__)

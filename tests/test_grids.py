@@ -186,10 +186,20 @@ class TestPolarResample:
             ([np.inf], [0.0], "non-finite"),
             ([1.0], [np.inf], "non-finite"),
             ([1.0], [0.0, np.nan], "non-finite"),
+            ([[1.0], [2.0]], [0.0, 1.0], r"qs must be 0-D or 1-D, got shape \(2, 1\)"),
+            ([1.0, 2.0], [[0.0, 1.0]], r"phis must be 0-D or 1-D, got shape \(1, 2\)"),
         ],
-        ids=["far-negative-q", "negative-q-beyond", "nan-q", "inf-q", "inf-phi", "nan-phi"],
+        ids=[
+            "far-negative-q", "negative-q-beyond", "nan-q", "inf-q", "inf-phi", "nan-phi",
+            "2d-q", "2d-phi",
+        ],
     )
-    def test_invalid_nodes_rejected(self, grid64, qs, phis, match):
+    def test_invalid_nodes_rejected(self, grid64, qs, phis, match, monkeypatch):
+        # rejected before either part is prefiltered
+        def prefiltered(*args, **kwargs):
+            raise AssertionError("prefiltered before validating the nodes")
+
+        monkeypatch.setattr("scipy.ndimage.spline_filter1d", prefiltered)
         with pytest.raises(ValueError, match=match):
             polar_sample(gaussian(grid64), grid64, np.array(qs), np.array(phis))
 

@@ -434,11 +434,36 @@ class TestSharedFill:
         original = grids._spline_taps
 
         def counted(*args):
-            fills.append(1)  # list.append is atomic across the worker threads
+            fills.append(1)  # one entry per operator fill
             return original(*args)
 
         monkeypatch.setattr(grids, "_spline_taps", counted)
         return fills
+
+    @pytest.mark.parametrize("angle_offset, nq, expected_fills", [
+        (np.pi / 2, 16, 3), (0.0, 16, 3), (0.3, 16, 8), (np.pi / 2, 600, 3),
+    ])
+    def test_one_fill_per_group_and_no_map_coordinates(
+        self, angle_offset, nq, expected_fills, grid128, monkeypatch
+    ):
+        # at ntheta = 16 a quarter-turn offset groups the eight angles below
+        # pi as (0, 4), (1, 3, 5, 7) and (2, 6), and any other offset leaves
+        # them alone; 600 radii take one fill per group, as 16 do
+        f = random_solenoidal_field(1, grid128, seed=3)
+        pgrid = PolarFrequencyGrid(nq=nq, qmax=8.0, ntheta=16)
+        expected = component_spectrum_polar(f, 1, pgrid, angle_offset=angle_offset)
+        fills = self.count_fills(monkeypatch)
+        mapped = []
+        original = ndimage.map_coordinates
+
+        def counted(*args, **kwargs):
+            mapped.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "map_coordinates", counted)
+        got = component_spectrum_polar(f, 1, pgrid, angle_offset=angle_offset)
+        assert got.tobytes() == expected.tobytes()
+        assert (len(fills), len(mapped)) == (expected_fills, 0)
 
     def test_clipped_window_samples_each_angle_alone(self, grid128, monkeypatch):
         # qmax = 25.1 reaches within the margin of the padded dual grid's

@@ -5,9 +5,10 @@ read call arguments by name (``forward``'s ``num_p``, ``ntheta``, ``pmax``,
 ``t_step``; ``component_spectrum_polar``'s ``oversample``).  Renaming or
 deleting any of them breaks traced benchmark runs, so this test installs the
 tracer as the benchmark does and makes one small call through each hook.
-Both calls run on two worker threads (the projector's angles, the spectrum's
-real and imaginary spline passes), so the test also checks that no span
-opens on a worker: the tracer keeps a single span stack.
+The projector's blocks of lines run on two worker threads, so the test also
+checks that no span opens on a worker (the tracer keeps a single span
+stack); the spectrum runs on the calling thread and must open no span under
+its own either.
 """
 
 import importlib.util
@@ -35,7 +36,7 @@ def load_tracer():
 def test_tracer_installs_and_hooks_read_their_arguments(grid64, monkeypatch):
     tracer = load_tracer().Tracer()
     f = random_solenoidal_field(1, grid64, seed=4)
-    # project and sample the spectrum on worker threads even on a one-CPU host
+    # project on worker threads even on a one-CPU host
     monkeypatch.setattr(tensorray._workers, "worker_count", lambda tasks: 2)
     tracer.install()
     try:
@@ -46,8 +47,8 @@ def test_tracer_installs_and_hooks_read_their_arguments(grid64, monkeypatch):
     finally:
         tracer.uninstall()
     # one span per forward and spectrum call, with no span under either: the
-    # worker threads call no traced function, so the tracer's single span
-    # stack stays valid
+    # projector's worker threads and the spectrum sampler call no traced
+    # function, so the tracer's single span stack stays valid
     for name in ("ray.forward", "fields.spectrum_polar"):
         found = [i for i, span in enumerate(tracer.spans) if span.name == name]
         assert len(found) == 1

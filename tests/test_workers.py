@@ -1,11 +1,10 @@
 """The threaded spectral kernels: no output depends on the worker count.
 
-The spectrum sampler runs its two prefilters and its blocks of nodes, and
-the inversion series its blocks of radii, through
+The inversion series runs its blocks of radii through
 ``_workers.run_in_lockstep`` without waiting at its barrier; the projector's
 blocks of lines, which wait there, are covered in ``test_ray.py``.  Every
 output must be byte-identical for 1, 2, 3 and 4 workers, whatever the CPU
-count of the host.
+count of the host.  The polar spectrum sampler starts no thread at all.
 """
 
 import sys
@@ -13,7 +12,6 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from tensorray import (
     PolarFrequencyGrid,
@@ -21,9 +19,10 @@ from tensorray import (
     component_spectrum_polar,
     forward,
     gaussian_test_field,
+    polar_sample,
     random_solenoidal_field,
 )
-from tensorray import _workers, grids, inversion
+from tensorray import _workers, inversion
 from tensorray.inversion import _quarter_turn_series
 
 WORKERS = (1, 2, 3, 4)
@@ -132,72 +131,40 @@ class TestRoundRobin:
         assert steps == sorted(steps) and len(steps) == 12
 
 
-class TestThreadedSpectrum:
+class TestSequentialSpectrum:
+    # four workers allowed, but any thread pool raises: the spectrum sampler
+    # must run on the calling thread and give the bytes of an unpatched call
+    @staticmethod
+    def assert_no_pool_same_bytes(monkeypatch, compute):
+        expected = compute()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the spectrum sampler started a thread pool")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_workers, "worker_count", lambda tasks: 4)
+            patch.setattr(_workers, "ThreadPoolExecutor", no_pool)
+            got = compute()
+        assert np.abs(expected).max() > 0.0
+        assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    @pytest.mark.parametrize("angle_offset", [0.0, np.pi / 2, 0.3])
-    def test_worker_count_changes_no_byte(self, m, angle_offset, grid128, monkeypatch):
+    @pytest.mark.parametrize("angle_offset", [0.0, np.pi / 2, 0.3, np.pi])
+    def test_spectrum_starts_no_thread(self, m, angle_offset, grid128, monkeypatch):
         # the quarter-turn offsets share fills within a group, 0.3 does not
         f = _field(m, grid128)
-        pgrid = PolarFrequencyGrid(nq=64, qmax=8.0, ntheta=32)
+        pgrid = PolarFrequencyGrid(nq=600, qmax=8.0, ntheta=32)
         for j in range(m + 1):
-            outputs = outputs_by_workers(
+            self.assert_no_pool_same_bytes(
                 monkeypatch,
                 lambda: component_spectrum_polar(f, j, pgrid, angle_offset=angle_offset),
             )
-            assert np.abs(outputs[0]).max() > 0.0
-            assert_byte_identical(outputs)
 
-    def test_more_workers_than_cores_with_fast_switching(self, grid128, monkeypatch):
-        # six workers on 900 radii in 9 groups of two blocks, switching
-        # threads every microsecond: a block that wrote outside its own
-        # samples, or two workers sharing an operator, would lose or mix
-        # values
-        f = random_solenoidal_field(2, grid128, seed=8)
-        pgrid = PolarFrequencyGrid(nq=900, qmax=8.0, ntheta=32)
-        monkeypatch.setattr(_workers, "worker_count", lambda tasks: 1)
-        expected = component_spectrum_polar(f, 2, pgrid, angle_offset=np.pi / 2)
-        monkeypatch.setattr(_workers, "worker_count", lambda tasks: min(6, tasks))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            outputs = [component_spectrum_polar(f, 2, pgrid, angle_offset=np.pi / 2) for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert_byte_identical([expected] + outputs)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("angle_offset, nq, fills", [
-        (np.pi / 2, 16, 3), (0.0, 16, 3), (0.3, 16, 8), (np.pi / 2, 600, 6),
-    ])
-    def test_one_fill_per_group_block_and_no_map_coordinates(
-        self, workers, angle_offset, nq, fills, grid128, monkeypatch
-    ):
-        # at ntheta = 16 a quarter-turn offset groups the eight angles below
-        # pi as (0, 4), (1, 3, 5, 7) and (2, 6), and any other offset leaves
-        # them alone; up to 512 radii are one block, 600 are two
-        monkeypatch.setattr(_workers, "worker_count", lambda tasks: 1)
-        f = random_solenoidal_field(1, grid128, seed=3)
-        pgrid = PolarFrequencyGrid(nq=nq, qmax=8.0, ntheta=16)
-        expected = component_spectrum_polar(f, 1, pgrid, angle_offset=angle_offset)
-        calls = {"map_coordinates": 0, "_spline_taps": 0}
-        lock = threading.Lock()  # worker threads fill the operators
-
-        def counted(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                with lock:
-                    calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(ndimage, "map_coordinates")
-        counted(grids, "_spline_taps")
-        monkeypatch.setattr(_workers, "worker_count", lambda tasks, k=workers: min(k, tasks))
-        got = component_spectrum_polar(f, 1, pgrid, angle_offset=angle_offset)
-        assert np.array_equal(got, expected)
-        assert calls == {"map_coordinates": 0, "_spline_taps": fills}
+    def test_polar_sample_starts_no_thread(self, grid128, monkeypatch):
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        qs, phis = np.linspace(0.1, 7.0, 50), np.linspace(0.0, 6.0, 37)
+        self.assert_no_pool_same_bytes(monkeypatch, lambda: polar_sample(values, grid128, qs, phis))
 
 
 class TestThreadedSeries:
