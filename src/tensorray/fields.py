@@ -44,6 +44,7 @@ from .grids import (
     PolarFrequencyGrid,
     _angle_groups,
     _check_integer,
+    _real_array,
     _sample_polar_window,
 )
 
@@ -98,7 +99,7 @@ class TensorField2D:
         _check_integer(self.m, "tensor rank m")
         if self.m < 0:
             raise ValueError(f"tensor rank must be >= 0, got {self.m}")
-        comps = np.asarray(self.components, dtype=float)
+        comps = _real_array(self.components, "TensorField2D components")
         expected = (self.m + 1, self.grid.n, self.grid.n)
         if comps.shape != expected:
             raise ValueError(f"expected components of shape {expected}, got {comps.shape}")

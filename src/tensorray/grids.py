@@ -46,6 +46,13 @@ def _check_integer(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; a complex one is refused, never cut to its real part."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got a complex array")
+    return np.asarray(values, dtype=float)
+
+
 @dataclass(frozen=True)
 class CartesianGrid:
     """Centered square grid with ``n`` samples per axis on ``[-R, R]^2``.

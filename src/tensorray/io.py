@@ -1,14 +1,14 @@
 """Container formats for fields and sinograms, plus CSV export.
 
 Both formats are a single JSON header line (UTF-8, newline terminated)
-followed by a raw little-endian float64 payload:
+followed by a raw little-endian float64 payload.  Every header holds
+``"format"`` (the tag), ``"version": 1`` and ``"dtype": "f64le"``, and the
+payload holds exactly the floats of the tag's shape:
 
-* ``tf2d``  — header ``{"format": "tf2d", "version": 1, "m": ..., "n": ...,
-  "radius": ..., "dtype": "f64le", "layout": "row-major, components
-  outermost"}`` and ``(m+1) * n^2`` floats.
-* ``sino2d`` — header ``{"format": "sino2d", "version": 1, "m": ..., "np":
-  ..., "ntheta": ..., "pmax": ..., "dtype": "f64le"}`` and ``np * ntheta``
-  floats, offset-major.
+* ``tf2d``  — keys ``m``, ``n``, ``radius`` and ``"layout": "row-major,
+  components outermost"``; shape ``(m+1, n, n)``.
+* ``sino2d`` — keys ``m``, ``np``, ``ntheta`` and ``pmax``; shape
+  ``(np, ntheta)``, offset-major.
 
 Payload round trips are bit exact.  Malformed containers raise
 :class:`FileFormatError` with the byte offset of the problem.
@@ -16,7 +16,9 @@ Payload round trips are bit exact.  Malformed containers raise
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 _MAX_HEADER = 65536
+_VERSION = 1
 
 
 class FileFormatError(ValueError):
@@ -45,7 +48,8 @@ class FileFormatError(ValueError):
         self.offset = offset
 
 
-def _write_container(path: str | Path, header: dict, payload: np.ndarray) -> None:
+def _write_container(path: str | Path, tag: str, header: dict, payload: np.ndarray) -> None:
+    header = {"format": tag, "version": _VERSION, "dtype": "f64le", **header}
     data = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
     with open(path, "wb") as fh:
         fh.write(data)
@@ -80,6 +84,8 @@ def _read_container(path: str | Path, formats=("tf2d", "sino2d")) -> tuple[dict,
             f"payload of {len(data)} bytes is not a whole number of float64 values",
             len(line) + whole,
         )
+    if _require(header, "version", 0) != _VERSION:
+        raise FileFormatError(f"unsupported {tag} version {header['version']!r}", 0)
     return header, np.frombuffer(data, dtype="<f8"), len(line)
 
 
@@ -107,34 +113,29 @@ def _require_number(header: dict, key: str) -> float:
     return float(value)
 
 
-def write_field(path: str | Path, field: TensorField2D) -> None:
-    header = {
-        "format": "tf2d",
-        "version": 1,
-        "m": field.m,
-        "n": field.grid.n,
-        "radius": field.grid.radius,
-        "dtype": "f64le",
-        "layout": "row-major, components outermost",
-    }
-    _write_container(path, header, field.components)
-
-
-def _decode_field(header: dict, payload: np.ndarray, header_len: int) -> TensorField2D:
-    if _require(header, "version", 0) != 1:
-        raise FileFormatError(f"unsupported tf2d version {header.get('version')!r}", 0)
-    m = _require_int(header, "m")
-    n = _require_int(header, "n")
-    radius = _require_number(header, "radius")
-    expected = (m + 1) * n * n
+def _shaped(payload: np.ndarray, header_len: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The payload reshaped to ``shape``, whose floats it must hold exactly."""
+    expected = math.prod(shape)  # Python integers: a huge count cannot wrap round to a match
     if payload.size != expected:
         raise FileFormatError(
             f"payload holds {payload.size} floats, expected {expected}",
             header_len + 8 * min(payload.size, expected),
         )
-    grid = CartesianGrid(n=n, radius=radius)
-    components = payload.reshape(m + 1, n, n)
-    return TensorField2D(m=m, grid=grid, components=components)
+    return payload.reshape(shape)
+
+
+def write_field(path: str | Path, field: TensorField2D) -> None:
+    header = {"m": field.m, "n": field.grid.n, "radius": field.grid.radius,
+              "layout": "row-major, components outermost"}
+    _write_container(path, "tf2d", header, field.components)
+
+
+def _decode_field(header: dict, payload: np.ndarray, header_len: int) -> TensorField2D:
+    m = _require_int(header, "m")
+    n = _require_int(header, "n")
+    radius = _require_number(header, "radius")
+    components = _shaped(payload, header_len, (m + 1, n, n))
+    return TensorField2D(m=m, grid=CartesianGrid(n=n, radius=radius), components=components)
 
 
 def read_field(path: str | Path) -> TensorField2D:
@@ -142,32 +143,16 @@ def read_field(path: str | Path) -> TensorField2D:
 
 
 def write_sinogram(path: str | Path, psi: Sinogram) -> None:
-    header = {
-        "format": "sino2d",
-        "version": 1,
-        "m": psi.m,
-        "np": psi.num_p,
-        "ntheta": psi.ntheta,
-        "pmax": psi.pmax,
-        "dtype": "f64le",
-    }
-    _write_container(path, header, psi.samples)
+    header = {"m": psi.m, "np": psi.num_p, "ntheta": psi.ntheta, "pmax": psi.pmax}
+    _write_container(path, "sino2d", header, psi.samples)
 
 
 def _decode_sinogram(header: dict, payload: np.ndarray, header_len: int) -> Sinogram:
-    if _require(header, "version", 0) != 1:
-        raise FileFormatError(f"unsupported sino2d version {header.get('version')!r}", 0)
     m = _require_int(header, "m")
     num_p = _require_int(header, "np")
     ntheta = _require_int(header, "ntheta")
     pmax = _require_number(header, "pmax")
-    expected = num_p * ntheta
-    if payload.size != expected:
-        raise FileFormatError(
-            f"payload holds {payload.size} floats, expected {expected}",
-            header_len + 8 * min(payload.size, expected),
-        )
-    return Sinogram(m=m, pmax=pmax, samples=payload.reshape(num_p, ntheta))
+    return Sinogram(m=m, pmax=pmax, samples=_shaped(payload, header_len, (num_p, ntheta)))
 
 
 def read_sinogram(path: str | Path) -> Sinogram:
@@ -186,26 +171,19 @@ def export_csv(src: str | Path, dest: str | Path) -> int:
     ``src`` has been read and validated in full.
     """
     header, payload, header_len = _read_container(src)
-    decode = _decode_field if header["format"] == "tf2d" else _decode_sinogram
-    data = decode(header, payload, header_len)
+    if header["format"] == "tf2d":
+        field = _decode_field(header, payload, header_len)
+        xs = [_fmt(x) for x in field.grid.axis()]
+        # rows run over (j, x, y) in payload order; the columns put j third
+        columns, row = "x,y,j,f_j", "{1},{2},{0},{3}\n"
+        axes, values = (range(field.m + 1), xs, xs), field.components
+    else:
+        psi = _decode_sinogram(header, payload, header_len)
+        columns, row = "p,theta,psi", "{},{},{}\n"
+        axes = ([_fmt(p) for p in psi.p_axis()], [_fmt(t) for t in psi.theta_axis()])
+        values = psi.samples
     with open(dest, "w", encoding="utf-8") as out:
-        if isinstance(data, TensorField2D):
-            xs = data.grid.axis()
-            out.write("x,y,j,f_j\n")
-            rows = 0
-            for j in range(data.m + 1):
-                comp = data.components[j]
-                for ix, x in enumerate(xs):
-                    for iy, y in enumerate(xs):
-                        out.write(f"{_fmt(x)},{_fmt(y)},{j},{_fmt(comp[ix, iy])}\n")
-                        rows += 1
-            return rows
-        out.write("p,theta,psi\n")
-        rows = 0
-        ps = data.p_axis()
-        thetas = data.theta_axis()
-        for i, p in enumerate(ps):
-            for jt, theta in enumerate(thetas):
-                out.write(f"{_fmt(p)},{_fmt(theta)},{_fmt(data.samples[i, jt])}\n")
-                rows += 1
-        return rows
+        out.write(columns + "\n")
+        for index, value in zip(itertools.product(*axes), values.flat):
+            out.write(row.format(*index, _fmt(value)))
+    return values.size

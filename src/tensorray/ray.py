@@ -87,7 +87,7 @@ import numpy as np
 
 from . import _workers
 from .fields import TensorField2D, tensor_weights
-from .grids import _angle_groups, _check_integer, _refillable_operator
+from .grids import _angle_groups, _check_integer, _real_array, _refillable_operator
 
 __all__ = ["Sinogram", "forward", "parity_residual"]
 
@@ -110,7 +110,7 @@ class Sinogram:
             raise ValueError(f"tensor rank must be >= 0, got {self.m}")
         if not np.isfinite(self.pmax) or self.pmax <= 0:
             raise ValueError(f"pmax must be positive, got {self.pmax}")
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _real_array(self.samples, "Sinogram samples")
         if samples.ndim != 2:
             raise ValueError(f"samples must be 2D (p, theta), got shape {samples.shape}")
         if samples.shape[0] < 2:

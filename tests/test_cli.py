@@ -399,6 +399,29 @@ class TestStrictJsonSession:
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 298. GiB for an array", ""],
+                         ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["generate", "forward"])
+def test_refused_allocation_exit_code(capsys, monkeypatch, tmp_path, scalar_field_file,
+                                      command, message):
+    # a kernel that raises stands in for a real refusal, which a host that
+    # overcommits memory could answer by paging instead
+    from tensorray import cli
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    kernel = {"generate": "gaussian_test_field", "forward": "forward"}[command]
+    monkeypatch.setattr(cli, kernel, refuse)
+    output = tmp_path / "out"
+    argv = {"generate": ["generate", "--n", "64", "-o", str(output)],
+            "forward": ["forward", str(scalar_field_file), "-o", str(output)]}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: out of memory. {message}".rstrip() + "\n"
+    assert not output.exists()
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -1,5 +1,7 @@
 """Tensor fields: solenoidal algebra, synthesis, projection, generators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,13 @@ class TestTensorField2D:
         bad[0, 1, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             TensorField2D(m=1, grid=grid64, components=bad)
+
+    def test_complex_components_rejected(self, grid64):
+        # refused before the float conversion, which would drop the imaginary part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="TensorField2D components must be real"):
+                TensorField2D(m=1, grid=grid64, components=np.full((2, 64, 64), 1 + 2j))
 
     def test_components_read_only(self, grid64):
         f = gaussian_test_field(1, "solenoidal", grid64)

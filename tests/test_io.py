@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from tensorray import (
+    CartesianGrid,
     FileFormatError,
+    Sinogram,
+    TensorField2D,
     export_csv,
     forward,
     gaussian_test_field,
@@ -118,6 +121,22 @@ class TestSinogramContainer:
         assert back.m == psi.m and back.pmax == psi.pmax
         assert np.array_equal(back.samples, psi.samples)
 
+    def test_header_contents(self, tmp_path, grid64):
+        psi = forward(gaussian_test_field(0, "generic", grid64), num_p=17, ntheta=8)
+        path = tmp_path / "psi.sino2d"
+        write_sinogram(path, psi)
+        line = path.read_bytes().split(b"\n", 1)[0]
+        assert line == (b'{"dtype": "f64le", "format": "sino2d", "m": 0, "np": 17, '
+                        b'"ntheta": 8, "pmax": 8.0, "version": 1}')
+
+    def test_unsupported_version(self, tmp_path):
+        header = {"format": "sino2d", "version": 2, "m": 0, "np": 4, "ntheta": 4, "pmax": 1.0}
+        path = tmp_path / "v2.sino2d"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * 16))
+        with pytest.raises(FileFormatError, match="unsupported sino2d version 2") as info:
+            read_sinogram(path)
+        assert info.value.offset == 0
+
 
     def test_ragged_payload_reports_offset(self, tmp_path, grid64):
         psi = forward(gaussian_test_field(0, "generic", grid64), num_p=17, ntheta=8)
@@ -160,6 +179,20 @@ def test_negative_counts_rejected(tmp_path, fmt, key):
     with pytest.raises(FileFormatError, match=f"'{key}' must be >= 0") as info:
         read(path)
     assert info.value.offset == 0
+
+
+@pytest.mark.parametrize("fmt", ["tf2d", "sino2d"])
+def test_huge_counts_do_not_wrap_round(tmp_path, fmt):
+    # 2**32 * 2**32 floats is 0 in 64-bit integers, which an empty payload would match
+    sizes = {"tf2d": {"m": 0, "n": 2**32, "radius": 1.0},
+             "sino2d": {"m": 0, "np": 2**32, "ntheta": 2**32, "pmax": 1.0}}[fmt]
+    header = json.dumps({"format": fmt, "version": 1, **sizes}).encode() + b"\n"
+    path = tmp_path / f"huge.{fmt}"
+    path.write_bytes(header)
+    read = read_field if fmt == "tf2d" else read_sinogram
+    with pytest.raises(FileFormatError, match=f"payload holds 0 floats, expected {2**64}") as info:
+        read(path)
+    assert info.value.offset == len(header)
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
@@ -205,6 +238,37 @@ class TestCsvExport:
         x, y, j, value = lines[1].split(",")
         assert (float(x), float(y), int(j)) == (-8.0, -8.0, 0)
         assert float(value) == f.components[0, 0, 0]
+
+    @staticmethod
+    def parse(dest, columns):
+        header, *lines, last = dest.read_text(encoding="utf-8").split("\n")
+        assert header == columns and last == ""
+        return [line.split(",") for line in lines]
+
+    def test_field_round_trip(self, tmp_path):
+        # random samples, so a swapped x and y or a misplaced j cannot match
+        rng = np.random.default_rng(5)
+        f = TensorField2D(m=2, grid=CartesianGrid(16, 3.0),
+                          components=rng.standard_normal((3, 16, 16)))
+        src, dest = tmp_path / "f.tf2d", tmp_path / "f.csv"
+        write_field(src, f)
+        assert export_csv(src, dest) == 3 * 16 * 16
+        rows = self.parse(dest, "x,y,j,f_j")
+        j, x, y = np.meshgrid(np.arange(3), f.grid.axis(), f.grid.axis(), indexing="ij")
+        assert [int(row[2]) for row in rows] == j.ravel().tolist()
+        for column, expected in ((0, x), (1, y), (3, f.components)):
+            assert np.array_equal([float(row[column]) for row in rows], expected.ravel())
+
+    def test_sinogram_round_trip(self, tmp_path):
+        rng = np.random.default_rng(6)
+        psi = Sinogram(m=1, pmax=3.0, samples=rng.standard_normal((17, 8)))
+        src, dest = tmp_path / "psi.sino2d", tmp_path / "psi.csv"
+        write_sinogram(src, psi)
+        assert export_csv(src, dest) == 17 * 8
+        rows = self.parse(dest, "p,theta,psi")
+        p, theta = np.meshgrid(psi.p_axis(), psi.theta_axis(), indexing="ij")
+        for column, expected in ((0, p), (1, theta), (2, psi.samples)):
+            assert np.array_equal([float(row[column]) for row in rows], expected.ravel())
 
     def test_malformed_source(self, tmp_path):
         src = tmp_path / "junk.bin"

@@ -3,6 +3,7 @@
 import os
 import threading
 import tracemalloc
+import warnings
 from math import comb
 
 import numpy as np
@@ -417,6 +418,13 @@ class TestSinogramValidation:
         bad[2, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             Sinogram(m=0, pmax=1.0, samples=bad)
+
+    def test_complex_samples_rejected(self):
+        # refused before the float conversion, which would drop the imaginary part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Sinogram samples must be real"):
+                Sinogram(m=0, pmax=1.0, samples=np.full((5, 8), 1 + 2j))
 
     def test_samples_read_only(self, grid64):
         psi = forward(gaussian_test_field(0, "generic", grid64), num_p=17, ntheta=8)
