@@ -31,7 +31,6 @@ from .inversion import (
     check_moment_conditions,
     invert,
     invert_coefficient_route,
-    roundtrip_report,
 )
 from .io import (
     FileFormatError,
@@ -98,7 +97,6 @@ __all__ = [
     "relative_l2_error",
     "reshetnyak_check",
     "reshetnyak_ratios",
-    "roundtrip_report",
     "sinogram_norm",
     "slice_pair",
     "solenoidal_project",

@@ -30,8 +30,9 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 # at most this many threads run a call's tasks: each holds its own working
-# buffers (0.8 MB per projector thread at desk scale: one sparse operator
-# for a block of lines; the angle group's rows, 2.1 MB, are shared)
+# buffers (a projector thread its sparse operator for a block of lines, sized
+# from one node budget for all of them; the angle group's rows, 2.1 MB at desk
+# scale, are shared)
 _MAX_WORKERS = 4
 
 

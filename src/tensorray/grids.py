@@ -53,6 +53,22 @@ def _real_array(values, name: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _check_angle_count(ntheta) -> None:
+    _check_integer(ntheta, "ntheta")
+    if ntheta < 2 or ntheta % 2 != 0:
+        raise ValueError(f"ntheta must be even and >= 2, got {ntheta}")
+
+
+def _check_sinogram_grid(num_p, ntheta, pmax) -> None:
+    """The one gate of a ``(p, theta)`` grid, for ``ray.Sinogram`` and ``ray.forward``."""
+    _check_integer(num_p, "num_p")
+    if num_p < 2:
+        raise ValueError(f"need at least 2 offset samples, got {num_p}")
+    _check_angle_count(ntheta)
+    if not np.isfinite(pmax) or pmax <= 0:
+        raise ValueError(f"pmax must be finite and positive, got {pmax}")
+
+
 @dataclass(frozen=True)
 class CartesianGrid:
     """Centered square grid with ``n`` samples per axis on ``[-R, R]^2``.
@@ -108,13 +124,11 @@ class PolarFrequencyGrid:
 
     def __post_init__(self) -> None:
         _check_integer(self.nq, "nq")
-        _check_integer(self.ntheta, "ntheta")
+        _check_angle_count(self.ntheta)
         if self.nq < 1:
             raise ValueError(f"nq must be >= 1, got {self.nq}")
         if not np.isfinite(self.qmax) or self.qmax <= 0:
             raise ValueError(f"qmax must be positive, got {self.qmax}")
-        if self.ntheta < 2 or self.ntheta % 2 != 0:
-            raise ValueError(f"ntheta must be even and >= 2, got {self.ntheta}")
 
     @property
     def dq(self) -> float:

@@ -31,18 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._workers import run_in_lockstep
-from .fields import (
-    TensorField2D,
-    _inverse_half,
-    _synthesize_half,
-    field_l2_norm,
-    relative_l2_error,
-    solenoidal_project,
-)
+from .fields import TensorField2D, _inverse_half, _synthesize_half
 from .grids import CartesianGrid, _check_integer, angular_coefficient_matrix
-from .norms import SobolevParams, reshetnyak_check
-from .ray import Sinogram, _offset_weights, forward, parity_residual
-from .slices import _convention_constant, _p_kernel, _p_kernel_width, _tilde_table
+from .ray import Sinogram, _offset_weights, parity_residual
+from .slices import (
+    _convention_constant, _folded_halves, _p_kernel, _p_kernel_width, _tilde_table,
+)
 
 __all__ = [
     "MomentOrder",
@@ -51,20 +45,11 @@ __all__ = [
     "check_moment_conditions",
     "invert",
     "invert_coefficient_route",
-    "roundtrip_report",
 ]
 
 # Moments whose total energy falls below (this * absolute-moment scale)^2 are
 # indistinguishable from zero at quadrature precision and pass trivially.
 _DEGENERATE_REL = 1e-3
-
-# A solenoidal part below this fraction of ||f|| is not measurable next to a
-# potential part.  Projecting pure potential Gaussians leaves 1e-16..7e-14 of
-# ||f|| (up to 2.5e-8 when a wide one is cut off at the grid edge).  What the
-# quadrature leaves of the potential part in the sinogram puts an error of
-# 7e-10..1.4e-8 of ||f|| on the round trip (ranks 1 and 3, n = 128), which is
-# 7e-4..1.4e-2 of a solenoidal part of 1e-6 ||f||: near the tolerance already.
-_NEGLIGIBLE_SOLENOIDAL = 1e-6
 
 # Dual-grid radii transformed at once by the inversion: bounds its working
 # memory (a radii x offsets kernel and the block's harmonics) at any n.
@@ -185,18 +170,17 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     there is bitwise.  The Nyquist column lies beyond the band and is zero.
 
     The angular DFT, the ``sin^power`` stencil, the ``(-i)^l`` turn and the
-    fold act along theta; the p-kernels ``cos(q p)`` and ``-sin(q p)`` are
-    real and act along p, so the two commute.  The theta side runs once, on
-    the sinogram folded onto ``p >= 0``: its even part (the ``p = 0`` row of
-    an odd ``num_p`` included once) and ``i`` times its odd part.  For a real
-    sinogram the folded coefficients of the even part vanish where
-    ``sign_l = -1`` and those of the odd part where ``sign_l = +1``, so
-    harmonic ``l`` comes from one part alone: the even part carries the real
-    part of the series, the odd part its imaginary part, each with harmonics
-    of one parity only.  Per block of radii that leaves one real product of
-    each part with its kernel, and a Horner sum in ``e^{2i arg y}``.  The
-    kernels are the real and imaginary parts of ``e^{i q p}``, built by
-    angle addition (``slices._p_kernel``, shared with the p-transform).
+    mirror average act along theta, the real p-kernels ``cos(q p)`` and
+    ``sin(q p)`` along p, so the two commute.  The theta side runs once, on
+    the p-transform's halves (``slices._folded_halves``): the even half and
+    ``i`` times the odd half.  For a real sinogram the folded coefficients
+    of the even half vanish where ``sign_l = -1`` and those of the odd half
+    where ``sign_l = +1``, so harmonic ``l`` comes from one half alone: the
+    even half carries the real part of the series, the odd half its
+    imaginary part, each with harmonics of one parity only.  Per block of
+    radii that leaves one real product of each half's kernel (the real and
+    imaginary parts of ``slices._p_kernel``) with its table, and a Horner
+    sum in ``e^{2i arg y}``.
 
     Work runs in blocks of a fixed number of radii, so memory stays at one
     block's worth per thread.  The blocks are dealt round-robin to up to
@@ -233,14 +217,10 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
     radii = np.sqrt(distinct[:in_band]) * dual.spacing
     starts = np.searchsorted(radius_index, bounds)
 
-    # the theta side, once: the folded halves through DFT, stencil, turn and fold
-    zero = psi.num_p // 2  # first index with p >= 0
-    rest = psi.num_p - zero  # first index with p > 0
-    negative = psi.samples[zero - 1 :: -1]
-    even = psi.samples[zero:].copy()
-    even[rest - zero :] += negative
-    odd = 1j * (psi.samples[rest:] - negative)
-    coeffs = _tilde_table(np.concatenate([even, odd]), power)
+    # the theta side, once: the folded halves through DFT, stencil, turn and
+    # mirror average; i times the odd half, whose kernel sin(q p) is real
+    even, odd = _folded_halves(psi)
+    coeffs = _tilde_table(np.concatenate([even, 1j * odd]), power)
     lm = (coeffs.shape[0] - 1) // 2
     coeffs *= (-1.0j) ** np.arange(-lm, lm + 1)[:, None]
     signs = (-1.0) ** (np.arange(lm + 1) + psi.m + power)
@@ -252,29 +232,22 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
         np.ascontiguousarray(coeffs[parity::2, : even.shape[0]].T).view(float),
         np.ascontiguousarray(coeffs[1 - parity :: 2, even.shape[0] :].T).view(float),
     )
-    weights = _offset_weights(psi)[zero:] / (2.0 * np.pi)
-    # the kernel of each part: cos(q p) times the weights for the even part,
-    # -sin(q p) times them for the odd part, which has no p = 0 row
-    trig_weights = (weights, -weights[rest - zero :])
+    odd_offsets = even.shape[0] - odd.shape[0]  # the odd half has no p = 0 row
 
     def scratch() -> tuple[np.ndarray, ...]:
         # one block's largest arrays, for one worker: the p-kernel table (in
-        # whole rows of the fine table), one part's weighted kernel and its
-        # product with that part's table.  Allocated on the calling thread,
-        # so a worker thread's heap keeps none of them between calls.
+        # whole rows of the fine table) and a flat buffer for either half's
+        # product with its table.  Allocated on the calling thread, so a
+        # worker thread's heap keeps none of them between calls.
         size = min(_RADII_PER_BLOCK, in_band)
         return (
             np.empty((size, _p_kernel_width(psi)), dtype=complex),
-            np.empty((size, even.shape[0])),
-            np.empty((size, max(table.shape[1] for table in tables))),
+            np.empty(size * max(table.shape[1] for table in tables)),
         )
 
     out = np.zeros(n * width, dtype=complex)
 
-    def transform(
-        blocks: range, _barrier, table_buf: np.ndarray, kernel_buf: np.ndarray,
-        product_buf: np.ndarray,
-    ) -> None:
+    def transform(blocks: range, _barrier, table_buf: np.ndarray, product_buf: np.ndarray) -> None:
         # fills the points of each block of radii; runs on worker threads, so
         # it calls numpy only (and the private _p_kernel), never a traced
         # function.  Blocks write disjoint indices of ``out``: a point and
@@ -291,13 +264,11 @@ def _quarter_turn_series(psi: Sinogram, grid: CartesianGrid, power: int) -> np.n
             z = (kx + 1j * ky) / np.sqrt(np.maximum(kx**2 + ky**2, 1))
             w = z * z
             parts = []
-            trigs = (exps.real, exps.imag[:, rest - zero :])
-            for table, trig, trig_weight, lowest in zip(
-                tables, trigs, trig_weights, (parity, 1 - parity)
-            ):
-                kernel = np.multiply(trig, trig_weight, out=kernel_buf[:size, : trig.shape[1]])
-                product = product_buf[:size, : table.shape[1]]
-                by_l = np.matmul(kernel, table, out=product).view(complex)  # [radius, l]
+            trigs = (exps.real, exps.imag[:, odd_offsets:])
+            for table, trig, lowest in zip(tables, trigs, (parity, 1 - parity)):
+                # np.dot copies the strided kernel part to hand it to BLAS
+                product = product_buf[: size * table.shape[1]].reshape(size, -1)
+                by_l = np.dot(trig, table, out=product).view(complex)  # [radius, l]
                 acc = np.zeros(kx.size, dtype=complex)
                 for l in range(by_l.shape[1] - 1, -1, -1):
                     acc *= w
@@ -386,43 +357,3 @@ def invert_coefficient_route(
     """
     _convention_constant(convention)
     return _inverse_half(_quarter_turn_series(psi, grid, psi.m), grid)
-
-
-def roundtrip_report(
-    f: TensorField2D,
-    params: SobolevParams,
-    *,
-    ntheta: int = 128,
-    nq: int = 512,
-) -> dict:
-    """Bundle forward/inverse, isometry, and moment evidence for one field.
-
-    Returns a JSON-ready dict with keys ``roundtrip_l2_rel``,
-    ``reshetnyak_ratio``, ``params`` and ``moments``.  The ratio is measured
-    in the lemma calculus, where it is 1; the moments are checked at orders
-    0 to 4 with tolerance ``1e-5``.  The round trip and the isometry ratio
-    are both measured against the solenoidal part of ``f``, so fields with a
-    potential part are accepted; fields whose solenoidal part is negligible
-    (zero and pure potential fields) are reported as ``degenerate`` instead
-    of dividing noise by noise.
-    """
-    base = {
-        "params": {"r": params.r, "s": params.s, "t": params.t},
-        "m": f.m,
-    }
-    reference = solenoidal_project(f)
-    if field_l2_norm(reference) <= _NEGLIGIBLE_SOLENOIDAL * field_l2_norm(f):
-        return {**base, "degenerate": True}
-    psi = forward(f, num_p=f.grid.n + 1, ntheta=ntheta)
-    # I_m annihilates the potential part, so psi is also the sinogram of the
-    # solenoidal part, the field both the isometry and the inversion refer to
-    ratio = reshetnyak_check(reference, params, ntheta=ntheta, nq=nq, sinogram=psi)
-    reconstructed = invert(psi, f.grid, check_range=False)
-    moments = check_moment_conditions(psi, rmax=4, tol=1e-5)
-    return {
-        **base,
-        "degenerate": False,
-        "roundtrip_l2_rel": relative_l2_error(reconstructed, reference),
-        "reshetnyak_ratio": ratio,
-        "moments": moments.to_dict(),
-    }

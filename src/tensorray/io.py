@@ -84,8 +84,10 @@ def _read_container(path: str | Path, formats=("tf2d", "sino2d")) -> tuple[dict,
             f"payload of {len(data)} bytes is not a whole number of float64 values",
             len(line) + whole,
         )
-    if _require(header, "version", 0) != _VERSION:
-        raise FileFormatError(f"unsupported {tag} version {header['version']!r}", 0)
+    version = _require(header, "version", 0)
+    # the integer 1 only: true and 1.0 compare equal to it
+    if type(version) is not int or version != _VERSION:
+        raise FileFormatError(f"unsupported {tag} version {version!r}", 0)
     return header, np.frombuffer(data, dtype="<f8"), len(line)
 
 

@@ -72,11 +72,10 @@ prefilter the components, one component and walking axis each at a time,
 and wait for each other.  Then, per group, they share the group's rows
 (four arrays of ``(n + 1)(n + 3)`` floats, 2.1 MB at desk scale): member
 ``a`` is combined by thread ``a % workers``, all wait, each fills its own
-operator (at most 32768 nodes a block, four weights and indices each; 0.8
-MB at desk scale on two threads) block by block and applies it to every
-member's rows, and all wait again before the next group.  Every line is
-computed the same way on any thread, so the sinogram is byte-identical
-whatever the thread count.
+operator (its share of 65536 nodes for all threads; 0.8 MB at desk scale on
+two threads) block by block and applies it to every member's rows, and all
+wait again before the next group.  Every line is computed the same way on
+any thread, so the sinogram is byte-identical whatever the thread count.
 """
 
 from __future__ import annotations
@@ -87,7 +86,9 @@ import numpy as np
 
 from . import _workers
 from .fields import TensorField2D, tensor_weights
-from .grids import _angle_groups, _check_integer, _real_array, _refillable_operator
+from .grids import (
+    _angle_groups, _check_integer, _check_sinogram_grid, _real_array, _refillable_operator,
+)
 
 __all__ = ["Sinogram", "forward", "parity_residual"]
 
@@ -108,15 +109,10 @@ class Sinogram:
         _check_integer(self.m, "tensor rank m")
         if self.m < 0:
             raise ValueError(f"tensor rank must be >= 0, got {self.m}")
-        if not np.isfinite(self.pmax) or self.pmax <= 0:
-            raise ValueError(f"pmax must be positive, got {self.pmax}")
         samples = _real_array(self.samples, "Sinogram samples")
         if samples.ndim != 2:
             raise ValueError(f"samples must be 2D (p, theta), got shape {samples.shape}")
-        if samples.shape[0] < 2:
-            raise ValueError("need at least 2 offset samples")
-        if samples.shape[1] < 2 or samples.shape[1] % 2 != 0:
-            raise ValueError(f"ntheta must be even and >= 2, got {samples.shape[1]}")
+        _check_sinogram_grid(*samples.shape, self.pmax)
         if not np.isfinite(samples).all():
             raise ValueError("sinogram contains non-finite samples")
         samples = samples.copy()
@@ -209,9 +205,9 @@ def _node_taps(operator, v: np.ndarray, starts: np.ndarray, n: int) -> None:
 # f - 1 + t, behind the one mirrored coefficient that starts a row
 _TAPS = np.arange(4, dtype=np.int32)
 
-# line-column nodes in one block of lines, at most: a projector thread's
-# operator holds four weights and indices per node of a block, 1.6 MB at most
-_BLOCK_NODES = 32768
+# line-column nodes in a block of lines of every projector thread together, at
+# most: their operators hold 3.1 MB at most together, whatever the thread count
+_OPERATOR_NODES = 65536
 
 
 def _walking(theta: float) -> tuple[float, float, float]:
@@ -269,30 +265,24 @@ def forward(
     ``min(CPUs available, 4)`` threads.  They share each group's rows (four
     arrays of ``(n + 1)(n + 3)`` floats, combined a member per thread), and
     each refills its own operator for its blocks (four weights and indices
-    per node, at most ``32768`` nodes a block): 3.7 MB together at desk
-    scale on two threads.
+    per node).  A block of every thread holds ``65536`` nodes in all at
+    most, so the memory does not grow with the thread count: 3.7 MB at desk
+    scale.
     The output is byte-identical for any thread count.  An error on any
     thread is raised here, after every thread has stopped.
     """
     grid = f.grid
-    _check_integer(num_p, "num_p")
-    _check_integer(ntheta, "ntheta")
     # t_step is kept only because the benchmark tracer reads it by name
     if t_step is not None:
         raise ValueError(f"t_step is not settable (lines walk the grid columns), got {t_step!r}")
     if pmax is None:
         pmax = grid.radius
-    if not np.isfinite(pmax):
-        raise ValueError(f"pmax must be finite, got {pmax}")
+    _check_sinogram_grid(num_p, ntheta, pmax)
     if pmax < grid.radius:
         raise ValueError(
             f"pmax={pmax} is smaller than the grid radius {grid.radius}; "
             "lines with |p| <= radius would be truncated inside the support"
         )
-    if num_p < 2:
-        raise ValueError(f"need at least 2 offset samples, got {num_p}")
-    if ntheta < 2 or ntheta % 2 != 0:
-        raise ValueError(f"ntheta must be even and >= 2, got {ntheta}")
 
     # imported here, after every check, rather than with the package:
     # commands that never project do not pay for it
@@ -345,9 +335,11 @@ def forward(
     starts = width * np.arange(n + 1)  # column k's padded row starts at k (n + 3)
     # a mirrored member reads at column n - k the taps the others read at k
     to_mirror = (width * (n - 2 * np.arange(n + 1))).astype(np.int32)
-    # as many blocks of lines for every thread, of at most _BLOCK_NODES nodes
+    # as many blocks of lines for every thread, of at most `most` lines: a
+    # block of each holds _OPERATOR_NODES at most together (or a line each)
     workers = _workers.worker_count(num_p)
-    blocks = workers * -(-num_p * (n + 1) // (workers * _BLOCK_NODES))
+    most = max(1, _OPERATOR_NODES // (workers * (n + 1)))
+    blocks = workers * -(-num_p // (workers * most))
     lines = -(-num_p // blocks)
     first = np.empty((num_p, ntheta // 2))
 

@@ -111,32 +111,44 @@ def _p_kernel(psi: Sinogram, qs: np.ndarray, out: np.ndarray | None = None) -> n
     return out[..., :count]
 
 
+def _folded_halves(psi: Sinogram) -> tuple[np.ndarray, np.ndarray]:
+    """The p-transform's offset quadrature folded onto ``p >= 0``: ``(even, odd)``.
+
+    The offsets are exactly antisymmetric and the trapezoid weights ``w``
+    symmetric, so for any sinogram ``psihat(q) = cos(q p) @ even + i sin(q
+    p) @ odd`` over the offsets ``p >= 0`` of ``_p_kernel``, with ``even = w
+    (psi(p) + psi(-p)) / 2pi`` (the ``p = 0`` row of an odd ``num_p`` once)
+    and ``odd = -w (psi(p) - psi(-p)) / 2pi`` on the offsets ``p > 0``.
+    """
+    zero = psi.num_p // 2  # first index with p >= 0
+    rest = psi.num_p - zero  # first index with p > 0
+    weights = _offset_weights(psi)[zero:] / (2.0 * np.pi)
+    negative = psi.samples[zero - 1 :: -1]
+    even = psi.samples[zero:].copy()
+    even[rest - zero :] += negative
+    even *= weights[:, None]
+    odd = (negative - psi.samples[rest:]) * weights[rest - zero :, None]
+    return even, odd
+
+
 def sinogram_transform_values(psi: Sinogram, qs: np.ndarray) -> np.ndarray:
     """Lemma-calculus p-transform of a sinogram at arbitrary frequency nodes.
 
-    Trapezoid quadrature over the symmetric offset grid, times ``1/2pi``;
-    returns values of shape ``(len(qs), ntheta)``.  The offsets are exactly
-    antisymmetric and the weights symmetric, so each column is folded onto
-    ``p > 0``: its even part ``psi(p) + psi(-p)`` meets ``cos(q p)`` and its
-    odd part ``psi(p) - psi(-p)`` meets ``-sin(q p)``, two real products of
-    half the length, with the ``p = 0`` row (odd ``num_p``) added once.
-    This holds for any sinogram, range data or not.  The kernels are the
-    real and imaginary parts of ``_p_kernel``'s angle-addition table, which
+    Trapezoid quadrature over the symmetric offset grid, times ``1/2pi``, of
+    shape ``qs.shape + (ntheta,)``: two real products of half the length,
+    the halves of :func:`_folded_halves` with the real and imaginary parts
+    of ``_p_kernel``'s angle-addition table, which
     :func:`~tensorray.inversion.invert` shares; they match direct cosines
     and sines to the rounding of ``q p``.
     """
     qs = np.asarray(qs, dtype=float)
     _check_finite(qs, "frequency nodes qs")
-    half = psi.num_p // 2
-    rest = psi.num_p - half  # first index with p > 0
-    weights = 1.0 / (2.0 * np.pi) * _offset_weights(psi)
-    kernel = _p_kernel(psi, qs)[..., rest - half :]
-    positive, negative = psi.samples[rest:], psi.samples[half - 1 :: -1]
+    even, odd = _folded_halves(psi)
+    kernel = _p_kernel(psi, qs)
     out = np.empty(qs.shape + (psi.ntheta,), dtype=complex)
-    out.real = (kernel.real * weights[rest:]) @ (positive + negative)
-    out.imag = (kernel.imag * -weights[rest:]) @ (positive - negative)
-    if rest > half:
-        out.real += weights[half] * psi.samples[half]
+    # np.dot copies the strided parts of the kernel to hand them to BLAS
+    out.real = np.dot(kernel.real, even)
+    out.imag = np.dot(kernel.imag[..., even.shape[0] - odd.shape[0] :], odd)
     return out
 
 

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from tensorray.cli import main
+from tensorray import SobolevParams, TensorField2D, gaussian_test_field, random_solenoidal_field
+from tensorray.cli import _roundtrip_report, main
 
 
 def run(capsys, *argv):
@@ -329,6 +330,22 @@ class TestExportCsv:
         assert f"'{key}' must be a JSON number" in err
 
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    @pytest.mark.parametrize("kind", ["tf2d", "sino2d"])
+    def test_non_integer_version_exit_code(self, capsys, tmp_path, field_file, sino_file,
+                                           kind, version):
+        src = {"tf2d": field_file, "sino2d": sino_file}[kind]
+        head, payload = src.read_bytes().split(b"\n", 1)
+        path = tmp_path / f"bad.{kind}"
+        path.write_bytes(head.replace(b'"version": 1', b'"version": ' + version.encode())
+                         + b"\n" + payload)
+        dest = tmp_path / "o.csv"
+        code, out, err = run(capsys, "export-csv", str(path), str(dest))
+        assert code == 3
+        assert f"unsupported {kind} version" in err
+        assert out == "" and not dest.exists()
+
+
 @pytest.mark.parametrize("command", ["forward", "export-csv"])
 @pytest.mark.parametrize("kind", ["tf2d", "sino2d"])
 def test_non_json_constant_exit_code(capsys, tmp_path, field_file, sino_file, command, kind):
@@ -465,3 +482,42 @@ class TestParserOncePerProcess:
         assert len(built) == 5
         assert [code for code, _, _ in shared] == [0, 0, 2, 0]
         assert shared == fresh
+
+
+class TestRoundtripReport:
+    # the report check invert prints, built in-process at coarser resolutions
+    def test_gaussian_report(self, grid128):
+        f = gaussian_test_field(0, "generic", grid128)
+        report = _roundtrip_report(f, SobolevParams(0, 0, 0), ntheta=64)
+        assert not report["degenerate"]
+        assert report["roundtrip_l2_rel"] < 1e-2
+        assert 0.99 < report["reshetnyak_ratio"] < 1.01
+        assert all(entry["pass"] for entry in report["moments"])
+        assert report["params"] == {"r": 0.0, "s": 0.0, "t": 0.0}
+
+    def test_random_solenoidal_report(self, grid128):
+        f = random_solenoidal_field(2, grid128, seed=42)
+        report = _roundtrip_report(f, SobolevParams(1.0, 0.0, 0.0), ntheta=64)
+        # measured 1.1e-5
+        assert report["roundtrip_l2_rel"] < 5e-5
+        assert 0.99 < report["reshetnyak_ratio"] < 1.01
+        assert all(entry["pass"] for entry in report["moments"])
+
+    def test_zero_field_reported_degenerate(self, grid64):
+        f = TensorField2D(m=1, grid=grid64, components=np.zeros((2, 64, 64)))
+        report = _roundtrip_report(f, SobolevParams(0, 0, 0))
+        assert report["degenerate"] is True
+        assert "roundtrip_l2_rel" not in report
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_potential_field_reported_degenerate(self, m, grid128):
+        # its solenoidal part is 1e-14 of f: noise the gate must not judge
+        f = gaussian_test_field(m, "potential", grid128)
+        report = _roundtrip_report(f, SobolevParams(0, 0, 0), ntheta=64)
+        assert report["degenerate"] is True
+        assert "roundtrip_l2_rel" not in report
+
+    def test_report_is_json_ready(self, grid64):
+        f = gaussian_test_field(0, "generic", grid64)
+        report = _roundtrip_report(f, SobolevParams(0, 0, 0), ntheta=16)
+        json.dumps(report)

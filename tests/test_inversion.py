@@ -8,7 +8,6 @@ import pytest
 from tensorray import (
     RangeDataWarning,
     Sinogram,
-    SobolevParams,
     TensorField2D,
     check_moment_conditions,
     field_l2_norm,
@@ -16,10 +15,8 @@ from tensorray import (
     gaussian_test_field,
     invert,
     invert_coefficient_route,
-    random_solenoidal_field,
     relative_divergence_residual,
     relative_l2_error,
-    roundtrip_report,
     solenoidal_project,
 )
 from tensorray.inversion import _quarter_turn_series
@@ -220,43 +217,3 @@ class TestCoefficientRoute:
         psi = Sinogram(m=2, pmax=8.0, samples=np.zeros((65, 32)))
         rec = invert_coefficient_route(psi, grid64)
         assert np.abs(rec).max() == 0.0
-
-
-class TestRoundtripReport:
-    def test_gaussian_report(self, grid128):
-        f = gaussian_test_field(0, "generic", grid128)
-        report = roundtrip_report(f, SobolevParams(0, 0, 0), ntheta=64)
-        assert not report["degenerate"]
-        assert report["roundtrip_l2_rel"] < 1e-2
-        assert 0.99 < report["reshetnyak_ratio"] < 1.01
-        assert all(entry["pass"] for entry in report["moments"])
-        assert report["params"] == {"r": 0.0, "s": 0.0, "t": 0.0}
-
-    def test_random_solenoidal_report(self, grid128):
-        f = random_solenoidal_field(2, grid128, seed=42)
-        report = roundtrip_report(f, SobolevParams(1.0, 0.0, 0.0), ntheta=64)
-        # measured 1.1e-5
-        assert report["roundtrip_l2_rel"] < 5e-5
-        assert 0.99 < report["reshetnyak_ratio"] < 1.01
-        assert all(entry["pass"] for entry in report["moments"])
-
-    def test_zero_field_reported_degenerate(self, grid64):
-        f = TensorField2D(m=1, grid=grid64, components=np.zeros((2, 64, 64)))
-        report = roundtrip_report(f, SobolevParams(0, 0, 0))
-        assert report["degenerate"] is True
-        assert "roundtrip_l2_rel" not in report
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_potential_field_reported_degenerate(self, m, grid128):
-        # its solenoidal part is 1e-14 of f: noise the gate must not judge
-        f = gaussian_test_field(m, "potential", grid128)
-        report = roundtrip_report(f, SobolevParams(0, 0, 0), ntheta=64)
-        assert report["degenerate"] is True
-        assert "roundtrip_l2_rel" not in report
-
-    def test_report_is_json_ready(self, grid64):
-        import json
-
-        f = gaussian_test_field(0, "generic", grid64)
-        report = roundtrip_report(f, SobolevParams(0, 0, 0), ntheta=16)
-        json.dumps(report)

@@ -195,6 +195,24 @@ def test_huge_counts_do_not_wrap_round(tmp_path, fmt):
     assert info.value.offset == len(header)
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("fmt", ["tf2d", "sino2d"])
+def test_version_must_be_the_integer_one(tmp_path, fmt, version):
+    # true and 1.0 compare equal to 1; the reader and the CSV export refuse both
+    sizes = {"tf2d": {"m": 0, "n": 4, "radius": 1.0},
+             "sino2d": {"m": 0, "np": 4, "ntheta": 4, "pmax": 1.0}}[fmt]
+    path = tmp_path / f"v.{fmt}"
+    path.write_bytes(json.dumps({"format": fmt, "version": version, **sizes}).encode()
+                     + b"\n" + bytes(8 * 16))
+    read = read_field if fmt == "tf2d" else read_sinogram
+    dest = tmp_path / "v.csv"
+    for call in (lambda: read(path), lambda: export_csv(path, dest)):
+        with pytest.raises(FileFormatError, match=f"unsupported {fmt} version {version!r}") as info:
+            call()
+        assert info.value.offset == 0
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("fmt, key", [("tf2d", "radius"), ("sino2d", "pmax")])
 def test_non_json_constants_rejected(tmp_path, fmt, key, constant):

@@ -127,6 +127,39 @@ class TestForward:
         with pytest.raises(ValueError, match=match):
             forward(gaussian_test_field(0, "generic", grid64), **kwargs)
 
+    @pytest.mark.parametrize(
+        "num_p, ntheta, pmax, match",
+        [
+            (1, 8, 8.0, "need at least 2 offset samples, got 1"),
+            (33, 0, 8.0, "ntheta must be even and >= 2, got 0"),
+            (33, 3, 8.0, "ntheta must be even and >= 2, got 3"),
+            (33, 8, np.nan, "pmax must be finite and positive, got nan"),
+            (33, 8, np.inf, "pmax must be finite and positive, got inf"),
+            (True, 8, 8.0, "num_p must be an integer, got True"),
+        ],
+        ids=["num_p-1", "ntheta-0", "ntheta-3", "pmax-nan", "pmax-inf", "num_p-bool"],
+    )
+    def test_forward_and_sinogram_refuse_the_same_grids(
+        self, num_p, ntheta, pmax, match, grid64, monkeypatch
+    ):
+        # one gate for the (p, theta) grid: forward refuses a bad grid before
+        # any work, with the message a Sinogram on that grid gets.  A
+        # Sinogram's counts are its samples' shape, which holds no bool, so
+        # the bool count is refused by forward alone
+        def no_work(*args, **kw):
+            raise AssertionError("forward prefiltered or projected before validating")
+
+        monkeypatch.setattr("tensorray.ray._node_taps", no_work)
+        monkeypatch.setattr("scipy.ndimage.spline_filter1d", no_work)
+        calls = [lambda: forward(gaussian_test_field(0, "generic", grid64),
+                                 num_p=num_p, ntheta=ntheta, pmax=pmax)]
+        if num_p is not True:
+            calls.append(lambda: Sinogram(m=0, pmax=pmax, samples=np.zeros((num_p, ntheta))))
+        for call in calls:
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == match
+
     def test_t_step_none_is_the_default(self, grid64):
         # None, the one value t_step accepts, changes no byte
         f = random_solenoidal_field(2, grid64, seed=5)
@@ -251,12 +284,16 @@ class TestForward:
         assert len(ray._angle_groups(90)) == 23
         assert len(fills) == 23 * workers
 
-    def test_desk_scale_memory(self, grid256, monkeypatch):
-        # two workers sharing a group's rows, each with an operator over
-        # blocks of lines: measured 9.3 MB; the bound is the 8.2 MB that the
-        # per-angle map_coordinates projector peaked at here, plus 2 MB
-        f = random_solenoidal_field(3, grid256, seed=5)
-        monkeypatch.setattr(_workers, "worker_count", lambda tasks: min(2, tasks))
+    @pytest.mark.parametrize("workers", range(1, _workers._MAX_WORKERS + 1))
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_desk_scale_memory(self, m, workers, grid256, monkeypatch):
+        # the workers share a group's rows, each with an operator over blocks
+        # of lines, whose nodes are budgeted across all workers: measured 9.3
+        # MB at m = 3 on two workers; the bound is the 8.2 MB that the
+        # per-angle map_coordinates projector peaked at here, plus 2 MB, at
+        # every worker count
+        f = random_solenoidal_field(m, grid256, seed=5)
+        monkeypatch.setattr(_workers, "worker_count", lambda tasks: min(workers, tasks))
         forward(f)  # imports scipy.sparse outside the measurement
         tracemalloc.start()
         try:
